@@ -222,12 +222,19 @@ fn main() {
     let (status, body) = check(&addr, "GET", "/metrics", "");
     assert_eq!(status, 200);
     let m = parse(&body).expect("metrics is valid JSON");
-    let cache_hits = m
-        .get("lab_cache")
-        .and_then(|c| c.get("trace_hits"))
-        .and_then(Value::as_u64)
-        .expect("metrics reports lab_cache.trace_hits");
-    assert!(cache_hits > 0, "repeated sweeps must hit the trace cache");
+    let lab_cache = |field: &str| {
+        m.get("lab_cache")
+            .and_then(|c| c.get(field))
+            .and_then(Value::as_u64)
+            .unwrap_or_else(|| panic!("metrics reports lab_cache.{field}"))
+    };
+    let cache_hits = lab_cache("stream_hits");
+    assert!(cache_hits > 0, "repeated sweeps must hit the stream cache");
+    assert_eq!(
+        lab_cache("trace_generations"),
+        0,
+        "the service must simulate block streams, never per-instruction traces"
+    );
     let ok_200 = m
         .get("responses")
         .and_then(|r| r.get("ok_200"))
@@ -252,13 +259,13 @@ fn main() {
         ("p50_ms", Value::Num((p50_ms * 100.0).round() / 100.0)),
         ("max_ms", Value::Num((p99_ms * 100.0).round() / 100.0)),
         ("ok_200", Value::Uint(ok_200)),
-        ("trace_cache_hits", Value::Uint(cache_hits)),
+        ("stream_cache_hits", Value::Uint(cache_hits)),
     ]);
     let json = format!("{}\n", report.pretty());
     std::fs::write("BENCH_PR5.json", &json).expect("write BENCH_PR5.json");
     println!("{json}");
     eprintln!(
         "serve_client: {CLIENTS} clients in {burst_secs:.2}s \
-         ({throughput:.1} req/s), trace cache hits {cache_hits}"
+         ({throughput:.1} req/s), stream cache hits {cache_hits}"
     );
 }

@@ -155,7 +155,7 @@ impl SimCell {
 /// State shared between the HTTP handlers and the queue workers.
 #[derive(Debug)]
 pub struct EngineShared {
-    /// The process-wide experiment lab (trace/layout/profile caches).
+    /// The process-wide experiment lab (stream/layout/profile caches).
     pub lab: Arc<Lab>,
     /// All metrics counters.
     pub metrics: Arc<Metrics>,
@@ -310,14 +310,17 @@ impl QueueJob for SimJob {
             if inject_panic {
                 panic!("injected fault: sim_panic (deterministic, seeded)");
             }
-            let trace = lab.trace(TraceKey {
+            // The block-stream fast path: bit-identical to simulating the
+            // per-instruction trace (debug builds re-run that oracle inside
+            // `simulate`), at a fraction of the time and memory.
+            let stream = lab.stream(TraceKey {
                 bench: key.bench,
                 variant: key.variant,
                 block_bytes: machine.block_bytes,
                 input: InputId::TEST,
                 limit: key.insts,
             });
-            simulate(&machine, key.scheme, &trace)
+            simulate(&machine, key.scheme, &stream)
         }));
         let metrics = &self.shared.metrics;
         let outcome = match outcome {

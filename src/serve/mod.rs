@@ -1,8 +1,8 @@
 //! `fetchmech-serve`: a concurrent experiment service over the simulator.
 //!
 //! The service answers HTTP/1.1 + JSON requests from a process-wide shared
-//! [`Lab`] (so repeated work hits the memoized trace/layout/profile caches)
-//! and a bounded job queue of unit simulations layered on
+//! [`Lab`] (so repeated work hits the memoized block-stream, layout and
+//! profile caches) and a bounded job queue of unit simulations layered on
 //! [`fetchmech::runner::Runner`]. The pieces:
 //!
 //! * [`http`] — a minimal `std::net` HTTP layer (one request per
@@ -24,8 +24,7 @@ pub mod engine;
 pub mod http;
 pub mod metrics;
 
-use std::io::ErrorKind;
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -167,7 +166,7 @@ impl ConnTracker {
 /// work.
 #[derive(Debug)]
 pub struct Server {
-    addr: std::net::SocketAddr,
+    addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept_thread: Option<thread::JoinHandle<()>>,
     conns: Arc<ConnTracker>,
@@ -207,7 +206,6 @@ impl Server {
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         let runner = Runner::from_flag_or_env(config.threads);
         let queue = Arc::new(JobQueue::start(runner, config.queue_capacity));
@@ -300,7 +298,7 @@ impl Server {
 
     /// The actual bound address (resolves ephemeral ports).
     #[must_use]
-    pub fn addr(&self) -> std::net::SocketAddr {
+    pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 
@@ -320,10 +318,7 @@ impl Server {
     /// the configured drain timeout), then close the job queue, drain any
     /// queued work, and flush the store's persistence backlog.
     pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
+        self.stop_accepting();
         self.conns.drain(self.drain_timeout);
         self.queue.close();
         self.queue.drain();
@@ -331,14 +326,33 @@ impl Server {
             store.shutdown();
         }
     }
+
+    /// Raises `stop`, then wakes the accept thread — blocked in `accept()` —
+    /// with one connection to its own listener, and joins it. The loop
+    /// discards that connection because `stop` is already set.
+    fn stop_accepting(&mut self) {
+        self.stop.store(true, Ordering::SeqCst);
+        if let Some(handle) = self.accept_thread.take() {
+            let _ = TcpStream::connect_timeout(&wake_addr(self.addr), Duration::from_secs(1));
+            let _ = handle.join();
+        }
+    }
+}
+
+/// Where to connect to wake a listener bound to `addr`: an unspecified IP
+/// (`0.0.0.0` / `::`) maps to the loopback address of the same family.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
+        self.stop_accepting();
         self.queue.close();
     }
 }
@@ -354,6 +368,8 @@ fn accept_loop(
     let started = Instant::now();
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
+            // Either the shutdown wake-up or a client racing it: not served.
+            Ok(_) if stop.load(Ordering::SeqCst) => break,
             Ok((stream, _peer)) => {
                 let _ = stream.set_read_timeout(Some(options.read_timeout));
                 let _ = stream.set_write_timeout(Some(options.write_timeout));
@@ -379,9 +395,8 @@ fn accept_loop(
                     conns.release();
                 }
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
-            }
+            // A real accept error (e.g. EMFILE): back off briefly so a
+            // persistent one cannot spin the thread.
             Err(_) => thread::sleep(Duration::from_millis(5)),
         }
     }
@@ -684,5 +699,20 @@ fn shed_response(shed: Shed) -> Response {
         Shed::Closed => {
             Response::error(503, "shutting_down", "service is draining").with_retry_after(2)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wake_addr_maps_unspecified_ips_to_loopback_of_the_same_family() {
+        let v4: SocketAddr = "0.0.0.0:8080".parse().unwrap();
+        assert_eq!(wake_addr(v4), "127.0.0.1:8080".parse().unwrap());
+        let v6: SocketAddr = "[::]:8080".parse().unwrap();
+        assert_eq!(wake_addr(v6), "[::1]:8080".parse().unwrap());
+        let bound: SocketAddr = "10.1.2.3:80".parse().unwrap();
+        assert_eq!(wake_addr(bound), bound);
     }
 }

@@ -1,8 +1,8 @@
 //! Integration tests for `fetchmech-serve`: boot the server in-process on an
 //! ephemeral port and drive it over raw `std::net::TcpStream`, asserting
 //! byte-identical results vs serial execution, queue-full shedding,
-//! coalescing, deadline expiry, cache reuse across sweeps, and graceful
-//! shutdown draining.
+//! coalescing, deadline expiry, cache reuse across sweeps, graceful
+//! shutdown draining, and prompt shutdown of the blocking accept thread.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -108,6 +108,11 @@ fn wait_for(addr: SocketAddr, what: &str, pred: impl Fn(&Value) -> bool) {
 
 /// What the server must answer for `key`: the same simulation run serially,
 /// rendered through the same JSON path, plus the wire newline.
+///
+/// Deliberately the per-instruction reference path (`lab.trace` +
+/// `simulate(&trace)`), not the block stream the service runs: every
+/// byte-identity assertion against this body then also checks the shipped
+/// fast path against the reference simulator.
 fn expected_body(lab: &Lab, key: &SimKey, machine: &MachineModel) -> String {
     let trace = lab.trace(TraceKey {
         bench: key.bench,
@@ -337,18 +342,21 @@ fn repeated_sweeps_hit_the_lab_cache_and_stay_deterministic() {
         Some(4)
     );
 
-    let hits_after_first = metric_u64(&metrics(addr), "lab_cache", "trace_hits");
+    let hits_after_first = metric_u64(&metrics(addr), "lab_cache", "stream_hits");
     let (status, second) = http(addr, "POST", "/v1/sweep", sweep);
     assert_eq!(status, 200);
     assert_eq!(first, second, "identical sweeps must be byte-identical");
 
-    // Every cell of the repeated sweep re-uses a cached trace.
-    let hits_after_second = metric_u64(&metrics(addr), "lab_cache", "trace_hits");
+    // Every cell of the repeated sweep re-uses a cached block stream, and no
+    // per-instruction trace is ever generated.
+    let m = metrics(addr);
+    let hits_after_second = metric_u64(&m, "lab_cache", "stream_hits");
     assert!(
         hits_after_second >= hits_after_first + 4,
-        "repeated sweep should hit the trace cache \
+        "repeated sweep should hit the stream cache \
          ({hits_after_first} -> {hits_after_second})"
     );
+    assert_eq!(metric_u64(&m, "lab_cache", "trace_generations"), 0);
 
     // Oversized grids are rejected up front.
     let (status, body) = http(
@@ -358,6 +366,48 @@ fn repeated_sweeps_hit_the_lab_cache_and_stay_deterministic() {
         "{\"benches\": [\"compress\"], \"insts\": 0}",
     );
     assert_eq!(status, 400, "zero insts must 400: {body}");
+    server.shutdown();
+}
+
+#[test]
+fn service_never_builds_per_instruction_traces() {
+    let server = Server::start(test_config()).expect("server start");
+    let addr = server.addr();
+
+    let (status, body) = http(addr, "POST", "/v1/simulate", "{\"bench\": \"li\"}");
+    assert_eq!(status, 200, "simulate failed: {body}");
+    let (status, body) = http(
+        addr,
+        "POST",
+        "/v1/sweep",
+        "{\"benches\": [\"gcc\"], \"schemes\": [\"banked\", \"perfect\"]}",
+    );
+    assert_eq!(status, 200, "sweep failed: {body}");
+
+    let bril = include_str!("../examples/programs/loopmix.bril.json");
+    let (status, body) = http(addr, "POST", "/v1/programs", &upload_body("bril", bril));
+    assert_eq!(status, 200, "upload failed: {body}");
+    let id = parse(&body)
+        .expect("upload response is JSON")
+        .get("id")
+        .and_then(Value::as_str)
+        .expect("upload response has an id")
+        .to_string();
+    let (status, body) = http(
+        addr,
+        "POST",
+        "/v1/simulate",
+        &format!("{{\"bench\": \"{id}\"}}"),
+    );
+    assert_eq!(status, 200, "uploaded-program simulate failed: {body}");
+
+    let m = metrics(addr);
+    assert_eq!(
+        metric_u64(&m, "lab_cache", "trace_generations"),
+        0,
+        "the service must simulate block streams, never per-instruction traces"
+    );
+    assert!(metric_u64(&m, "lab_cache", "stream_builds") > 0);
     server.shutdown();
 }
 
@@ -584,15 +634,76 @@ fn shutdown_drains_in_flight_requests() {
         metric_u64(m, "jobs", "running") == 1
     });
 
-    server.shutdown();
+    finishes_promptly("shutdown with a request in flight", move || {
+        server.shutdown()
+    });
 
     // The in-flight request was drained, not dropped.
     let (status, body) = inflight.join().expect("in-flight client");
     assert_eq!(status, 200, "drained request must succeed: {body}");
 
     // And the listener is gone: new connections are refused.
+    assert_not_listening(addr);
+}
+
+/// Runs `f` on its own thread and fails (instead of hanging) unless it
+/// returns within 5 s — the accept thread blocks in `accept()`, so a missed
+/// wake-up would otherwise wedge the test forever.
+fn finishes_promptly(what: &str, f: impl FnOnce() + Send + 'static) {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let worker = thread::spawn(move || {
+        f();
+        let _ = done_tx.send(());
+    });
+    assert!(
+        done_rx.recv_timeout(Duration::from_secs(5)).is_ok(),
+        "{what} did not finish within 5 s"
+    );
+    worker.join().expect("finished worker thread");
+}
+
+fn assert_not_listening(addr: SocketAddr) {
     assert!(
         TcpStream::connect_timeout(&addr, Duration::from_millis(500)).is_err(),
-        "server should stop accepting after shutdown"
+        "the listener must be closed once the accept thread exits"
     );
+}
+
+#[test]
+fn shutdown_wakes_an_accept_thread_that_never_saw_a_connection() {
+    let server = Server::start(test_config()).expect("server start");
+    let addr = server.addr();
+    // No connection may reveal when the accept thread reaches `accept()`, so
+    // give it time to block there. Were it still starting, it would see
+    // `stop` and exit: the test would pass without exercising the wake-up,
+    // never fail spuriously.
+    thread::sleep(Duration::from_millis(100));
+    finishes_promptly("shutdown of an idle server", move || server.shutdown());
+    assert_not_listening(addr);
+}
+
+#[test]
+fn dropping_a_server_wakes_its_accept_thread() {
+    let server = Server::start(test_config()).expect("server start");
+    let addr = server.addr();
+    // Once a request has been served, the accept thread is back in `accept()`.
+    let (status, _) = http(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+    finishes_promptly("dropping a server", move || drop(server));
+    assert_not_listening(addr);
+}
+
+#[test]
+fn shutdown_wakes_a_server_bound_to_the_unspecified_address() {
+    let server = Server::start(ServeConfig {
+        addr: "0.0.0.0:0".to_string(),
+        ..test_config()
+    })
+    .expect("server start");
+    assert!(server.addr().ip().is_unspecified());
+    let loopback = SocketAddr::from(([127, 0, 0, 1], server.addr().port()));
+    let (status, _) = http(loopback, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+    finishes_promptly("shutdown of a 0.0.0.0 server", move || server.shutdown());
+    assert_not_listening(loopback);
 }
