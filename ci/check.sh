@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Hermetic CI gate: formatting, lints, tests. Runs fully offline — the
-# workspace has no registry dependencies (criterion lives in the excluded
-# crates/bench package; proptest is vendored under vendor/proptest).
+# workspace has no registry dependencies (proptest is vendored under
+# vendor/proptest).
 #
 # Usage: ci/check.sh [--no-lint]   (skip clippy, e.g. when it is not installed)
 set -euo pipefail
@@ -55,6 +55,13 @@ if cargo run -q -p fetchmech-repro --bin fetchmech-lint -- frontend "$bad_prog" 
     exit 1
 fi
 rm -f "$bad_prog"
+
+echo "==> report (paper tables regenerate offline)"
+report_out="$(cargo run --release --offline -q --bin report -- --quick machines table2 table3)"
+if [ -z "$report_out" ]; then
+    echo "report printed nothing" >&2
+    exit 1
+fi
 
 echo "==> cargo doc --workspace --no-deps (warnings fatal)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q

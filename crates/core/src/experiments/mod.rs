@@ -1,20 +1,20 @@
 //! Experiment drivers: one per table and figure of the paper's evaluation.
 //!
 //! Each driver returns a plain-data result type with a `Display` impl that
-//! renders the same rows/series the paper reports; the `fetchmech-bench`
-//! crate's `report` binary prints them, its criterion benches time them, and
-//! the integration tests assert their qualitative shape (who wins, how the
-//! trend moves with issue rate).
+//! renders the same rows/series the paper reports; the `report` binary
+//! prints them, and the integration tests assert their qualitative shape
+//! (who wins, how the trend moves with issue rate).
 //!
 //! All drivers hang off [`Lab`], the shared experiment state. The lab is
 //! fully thread-safe (`&self` everywhere): benchmark programs, profiles,
-//! reordered programs, layouts, and — most importantly — materialized dynamic
+//! reordered programs, layouts, block streams, and materialized dynamic
 //! traces live in concurrent exactly-once caches, so every expensive artifact
 //! is computed a single time per process no matter how many drivers or worker
-//! threads ask for it. Traces are shared as `Arc<[DynInst]>` slices and
+//! threads ask for it. Block streams are shared as `Arc<BlockStream>` and
 //! handed to the simulator by reference-count bump (see
-//! [`TraceCursor`](fetchmech_pipeline::TraceCursor)), never copied or
-//! regenerated per run.
+//! [`BlockCursor`](fetchmech_pipeline::BlockCursor)), never copied or
+//! regenerated per run; per-instruction traces (`Arc<[DynInst]>`) feed the
+//! drivers that count instruction statistics (Tables 2 and 3).
 //!
 //! Drivers expand their (workload × scheme × machine × layout) grids into job
 //! lists and execute them on the lab's [`Runner`] worker pool; results are
@@ -78,7 +78,7 @@ impl ExpConfig {
         }
     }
 
-    /// Reduced runs for unit tests and criterion benches.
+    /// Reduced runs for unit tests, `report --quick`, and CI.
     #[must_use]
     pub fn quick() -> Self {
         Self {
@@ -603,9 +603,9 @@ impl Lab {
     /// The stream is generated *natively* — segment templates are interned
     /// while walking the layout, without materializing a per-instruction
     /// trace first — so the stream cache does not populate (or depend on)
-    /// the trace cache. Streams are the preferred simulation input: the
-    /// block-stream fast path of [`simulate`] is several times faster than
-    /// the per-instruction path, with bit-identical results.
+    /// the trace cache. Streams are the native simulation input: handing
+    /// [`simulate`] a per-instruction trace instead would re-encode it into
+    /// a stream on every call.
     pub fn stream(&self, key: TraceKey) -> Arc<BlockStream> {
         self.streams.get_or_compute(key, || {
             let w = self.workload(key.bench, key.variant);

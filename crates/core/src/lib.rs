@@ -55,8 +55,8 @@ pub use fetchmech_pipeline::scheme::{ParseSchemeError, SchemeKind};
 pub use runner::{JobQueue, QueueJob, Runner, SubmitError};
 pub use sanitize::{check_dominance, measure_eir_checked, simulate_checked, verify_static_bound};
 pub use sim::{
-    build_block_fetch_unit, build_fetch_unit, measure_eir, simulate, EirResult, SimResult,
-    SimSource,
+    build_fetch_unit, measure_eir, measure_eir_reference, simulate, simulate_reference, EirResult,
+    SimResult,
 };
 pub use unit::{
     AlignedFetchUnit, BlockFetchUnit, BlockPacket, BreakdownStats, FetchConfig, FetchOutcome,

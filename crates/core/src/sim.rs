@@ -6,32 +6,36 @@
 //! supplied to the decoders per cycle). Padding nops are excluded from the
 //! IPC numerator — they retire, but they are not work.
 //!
-//! Both [`simulate`] and [`measure_eir`] accept either input representation
-//! through [`SimSource`]:
+//! There is one shipped loop. [`simulate`] and [`measure_eir`] take any
+//! `Into<BlockCursor>` — an `Arc<BlockStream>` from the
+//! [`Lab`](crate::experiments::Lab) stream cache, or a per-instruction
+//! trace (`Vec<DynInst>`, `&Arc<[DynInst]>`), which is run-length encoded
+//! through [`BlockStream::from_insts`](fetchmech_isa::BlockStream::from_insts)
+//! first — and run it on [`BlockFetchUnit`] + [`StreamCore`], which walk
+//! run-length fetch-block segments, dispatch without materializing packets,
+//! and skip provably-idle stretches of cycles in O(1).
 //!
-//! * a **per-instruction trace** (`Vec<DynInst>`, `Arc<[DynInst]>`,
-//!   [`TraceCursor`]) runs the reference path: [`AlignedFetchUnit`] +
-//!   [`OooCore`], one trace element per instruction;
-//! * a **block stream** (`Arc<BlockStream>`, [`BlockCursor`]) runs the fast
-//!   path: [`BlockFetchUnit`] + [`StreamCore`], which walks run-length
-//!   fetch-block segments, dispatches without materializing packets, and
-//!   skips provably-idle stretches of cycles in O(1).
+//! The per-instruction simulator — [`AlignedFetchUnit`] + [`OooCore`], one
+//! trace element per instruction — is the reference the fast loop is
+//! checked against. It is reached only by name: [`simulate_reference`],
+//! [`measure_eir_reference`], [`build_fetch_unit`], and the
+//! [`sanitize`](crate::sanitize) `*_checked` functions.
 //!
-//! The two paths produce bit-identical [`SimResult`]s. That is not an
-//! aspiration but an enforced invariant: whenever the cycle sanitizer is
-//! enabled (debug builds and `--features sanitize`), every block-stream
-//! simulation re-runs through the sanitized per-instruction oracle and
-//! asserts whole-result equality.
+//! The two produce bit-identical [`SimResult`]s. That is not an aspiration
+//! but an enforced invariant: whenever the cycle sanitizer is enabled (debug
+//! builds and `--features sanitize`), every [`simulate`]/[`measure_eir`]
+//! call re-runs through the sanitized reference and asserts whole-result
+//! equality; in release builds the differential tests compare the two by
+//! name.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use fetchmech_analysis::CycleSanitizer;
 use fetchmech_bpred::{Btb, BtbStats};
 use fetchmech_cache::{CacheStats, ICache};
-use fetchmech_isa::{BlockStream, DynInst, OpClass};
+use fetchmech_isa::OpClass;
 use fetchmech_pipeline::{
-    BlockCursor, FetchUnit, FetchedInst, MachineModel, OooCore, StreamCore, TraceCursor,
+    BlockCursor, FetchedInst, MachineModel, OooCore, StreamCore, TraceCursor,
 };
 
 use crate::scheme::SchemeKind;
@@ -88,76 +92,6 @@ impl SimResult {
     }
 }
 
-/// The instruction source for [`simulate`] and [`measure_eir`]: either a
-/// per-instruction trace (the reference oracle path) or a run-length block
-/// stream (the fast path).
-///
-/// Everything that converted into a [`TraceCursor`] before still converts
-/// into a `SimSource`, so existing per-instruction callers are unchanged;
-/// handing an `Arc<BlockStream>` (e.g. from the
-/// [`Lab`](crate::experiments::Lab) stream cache) selects the fast path.
-#[derive(Debug, Clone)]
-pub enum SimSource {
-    /// A per-instruction dynamic trace.
-    Insts(TraceCursor),
-    /// A run-length fetch-block stream.
-    Blocks(BlockCursor),
-}
-
-impl From<TraceCursor> for SimSource {
-    fn from(c: TraceCursor) -> Self {
-        SimSource::Insts(c)
-    }
-}
-
-impl From<Vec<DynInst>> for SimSource {
-    fn from(v: Vec<DynInst>) -> Self {
-        SimSource::Insts(TraceCursor::new(v))
-    }
-}
-
-impl From<Arc<[DynInst]>> for SimSource {
-    fn from(t: Arc<[DynInst]>) -> Self {
-        SimSource::Insts(TraceCursor::new(t))
-    }
-}
-
-impl From<&Arc<[DynInst]>> for SimSource {
-    fn from(t: &Arc<[DynInst]>) -> Self {
-        SimSource::Insts(TraceCursor::new(Arc::clone(t)))
-    }
-}
-
-impl From<&[DynInst]> for SimSource {
-    fn from(t: &[DynInst]) -> Self {
-        SimSource::Insts(TraceCursor::new(t))
-    }
-}
-
-impl From<BlockCursor> for SimSource {
-    fn from(c: BlockCursor) -> Self {
-        SimSource::Blocks(c)
-    }
-}
-
-impl From<Arc<BlockStream>> for SimSource {
-    fn from(s: Arc<BlockStream>) -> Self {
-        SimSource::Blocks(BlockCursor::new(s))
-    }
-}
-
-impl From<&Arc<BlockStream>> for SimSource {
-    fn from(s: &Arc<BlockStream>) -> Self {
-        SimSource::Blocks(BlockCursor::new(Arc::clone(s)))
-    }
-}
-
-impl From<BlockStream> for SimSource {
-    fn from(s: BlockStream) -> Self {
-        SimSource::Blocks(BlockCursor::new(Arc::new(s)))
-    }
-}
-
 fn fetch_config(machine: &MachineModel, scheme: SchemeKind) -> FetchConfig {
     FetchConfig {
         scheme,
@@ -171,8 +105,8 @@ fn fetch_config(machine: &MachineModel, scheme: SchemeKind) -> FetchConfig {
     }
 }
 
-/// Builds the per-instruction fetch unit for `machine` running `scheme`
-/// over `trace`.
+/// Builds the per-instruction reference fetch unit for `machine` running
+/// `scheme` over `trace`.
 ///
 /// The trace is *borrowed, not moved*: any `Into<TraceCursor>` works — an
 /// owned `Vec<DynInst>`, a `&Arc<[DynInst]>` straight out of the
@@ -193,57 +127,88 @@ pub fn build_fetch_unit(
 /// Builds the block-stream fetch unit for `machine` running `scheme` over a
 /// run-length block stream — the fast-path counterpart of
 /// [`build_fetch_unit`], with identical cache/BTB construction.
-#[must_use]
-pub fn build_block_fetch_unit(
+fn build_block_fetch_unit(
     machine: &MachineModel,
     scheme: SchemeKind,
-    stream: impl Into<BlockCursor>,
+    cursor: BlockCursor,
 ) -> BlockFetchUnit {
     let cfg = fetch_config(machine, scheme);
     let icache = ICache::new(machine.cache_config(scheme.banks().max(2)));
     let btb = Btb::new(machine.btb_config());
-    BlockFetchUnit::new(cfg, icache, btb, stream.into())
+    BlockFetchUnit::new(cfg, icache, btb, cursor)
 }
 
 /// Runs `source` through `machine` with the given fetch `scheme` until every
 /// instruction retires. Returns the aggregate [`SimResult`].
 ///
-/// Per-instruction sources take the reference path; block streams take the
-/// fast path (identical results, enforced by the differential oracle when
-/// the sanitizer is enabled).
+/// A per-instruction trace is run-length encoded first; the simulation
+/// itself always takes the block-stream loop. When the sanitizer is enabled
+/// and the cursor starts at the beginning of the stream, the materialized
+/// trace is re-run through the sanitized [`simulate_reference`] path and the
+/// two results are asserted identical.
 ///
 /// # Panics
 ///
 /// Panics if the simulation exceeds a safety bound of 64 cycles per trace
 /// instruction plus slack (which would indicate a deadlock bug, not a slow
-/// workload).
+/// workload), or if the enabled differential check finds a divergence.
 #[must_use]
 pub fn simulate(
     machine: &MachineModel,
     scheme: SchemeKind,
-    source: impl Into<SimSource>,
+    source: impl Into<BlockCursor>,
 ) -> SimResult {
-    match source.into() {
-        SimSource::Insts(cursor) => {
-            if crate::sanitize::ENABLED {
-                let (result, diags) = crate::sanitize::simulate_checked(machine, scheme, cursor);
-                crate::sanitize::assert_clean(
-                    &format!("simulate({scheme}, {})", machine.name),
-                    &diags,
-                );
-                return result;
-            }
-            simulate_observed(machine, scheme, cursor, None)
-        }
-        SimSource::Blocks(cursor) => simulate_blocks(machine, scheme, cursor),
+    let cursor = source.into();
+    let oracle_input = (crate::sanitize::ENABLED && cursor.pos() == 0).then(|| cursor.shared());
+    let fast = simulate_blocks_fast(machine, scheme, cursor);
+    if let Some(stream) = oracle_input {
+        let (oracle, diags) =
+            crate::sanitize::simulate_checked(machine, scheme, stream.materialize());
+        crate::sanitize::assert_clean(&format!("simulate({scheme}, {})", machine.name), &diags);
+        assert_eq!(
+            fast, oracle,
+            "block-stream fast path diverged from the per-instruction reference \
+             ({scheme}, {})",
+            machine.name
+        );
     }
+    fast
 }
 
-/// [`simulate`] with an optional sanitizer observing every pipeline event.
+/// Runs `trace` through the per-instruction reference simulator
+/// ([`AlignedFetchUnit`] + [`OooCore`]) — the oracle that [`simulate`] is
+/// checked against. Differential tests call it by name.
+///
+/// When the sanitizer is enabled the run is sanitized and panics on
+/// findings.
+///
+/// # Panics
+///
+/// As [`simulate`].
+#[must_use]
+pub fn simulate_reference(
+    machine: &MachineModel,
+    scheme: SchemeKind,
+    trace: impl Into<TraceCursor>,
+) -> SimResult {
+    let cursor = trace.into();
+    if crate::sanitize::ENABLED {
+        let (result, diags) = crate::sanitize::simulate_checked(machine, scheme, cursor);
+        crate::sanitize::assert_clean(
+            &format!("simulate_reference({scheme}, {})", machine.name),
+            &diags,
+        );
+        return result;
+    }
+    simulate_observed(machine, scheme, cursor, None)
+}
+
+/// [`simulate_reference`] with an optional sanitizer observing every
+/// pipeline event.
 ///
 /// The `san` parameter is how the sanitizer stays zero-cost when off: the
 /// observation sites are `if let Some(..)` on this option, and the two
-/// public entry points pass a compile-time-known `None` unless
+/// reference entry points pass a compile-time-known `None` unless
 /// [`crate::sanitize::ENABLED`] holds.
 pub(crate) fn simulate_observed(
     machine: &MachineModel,
@@ -366,30 +331,6 @@ pub(crate) fn simulate_observed(
         icache: fetch.icache().stats(),
         btb: fetch.btb().stats(),
     }
-}
-
-/// Block-stream [`simulate`]: runs the fast path, and — when the sanitizer
-/// is enabled and the cursor starts at the beginning of the stream —
-/// re-runs the materialized trace through the sanitized per-instruction
-/// oracle and asserts the two [`SimResult`]s are identical.
-fn simulate_blocks(machine: &MachineModel, scheme: SchemeKind, cursor: BlockCursor) -> SimResult {
-    let oracle_input = (crate::sanitize::ENABLED && cursor.pos() == 0).then(|| cursor.shared());
-    let fast = simulate_blocks_fast(machine, scheme, cursor);
-    if let Some(stream) = oracle_input {
-        let (oracle, diags) =
-            crate::sanitize::simulate_checked(machine, scheme, stream.materialize());
-        crate::sanitize::assert_clean(
-            &format!("simulate_blocks({scheme}, {})", machine.name),
-            &diags,
-        );
-        assert_eq!(
-            fast, oracle,
-            "block-stream fast path diverged from the per-instruction oracle \
-             ({scheme}, {})",
-            machine.name
-        );
-    }
-    fast
 }
 
 /// The block-stream simulation loop. Mirrors [`simulate_observed`] phase by
@@ -629,31 +570,55 @@ impl EirResult {
 /// fetch unit's own ability to align instructions, which is exactly what
 /// `EIR / EIR(perfect)` is meant to isolate.
 ///
-/// Accepts either input representation, like [`simulate`].
+/// Takes the same inputs as [`simulate`] and runs the block-stream EIR loop,
+/// with the same sanitizer-gated differential check against
+/// [`measure_eir_reference`].
 #[must_use]
 pub fn measure_eir(
     machine: &MachineModel,
     scheme: SchemeKind,
-    source: impl Into<SimSource>,
+    source: impl Into<BlockCursor>,
 ) -> EirResult {
-    match source.into() {
-        SimSource::Insts(cursor) => {
-            if crate::sanitize::ENABLED {
-                let (result, diags) = crate::sanitize::measure_eir_checked(machine, scheme, cursor);
-                crate::sanitize::assert_clean(
-                    &format!("measure_eir({scheme}, {})", machine.name),
-                    &diags,
-                );
-                return result;
-            }
-            measure_eir_observed(machine, scheme, cursor, None)
-        }
-        SimSource::Blocks(cursor) => measure_eir_blocks(machine, scheme, cursor),
+    let cursor = source.into();
+    let oracle_input = (crate::sanitize::ENABLED && cursor.pos() == 0).then(|| cursor.shared());
+    let fast = measure_eir_blocks_fast(machine, scheme, cursor);
+    if let Some(stream) = oracle_input {
+        let (oracle, diags) =
+            crate::sanitize::measure_eir_checked(machine, scheme, stream.materialize());
+        crate::sanitize::assert_clean(&format!("measure_eir({scheme}, {})", machine.name), &diags);
+        assert_eq!(
+            fast, oracle,
+            "block-stream EIR fast path diverged from the per-instruction \
+             reference ({scheme}, {})",
+            machine.name
+        );
     }
+    fast
 }
 
-/// [`measure_eir`] with an optional sanitizer observing every fetch cycle
-/// (see [`simulate_observed`] for the gating pattern).
+/// The per-instruction reference for [`measure_eir`], reached by name like
+/// [`simulate_reference`] and sanitized the same way when the sanitizer is
+/// enabled.
+#[must_use]
+pub fn measure_eir_reference(
+    machine: &MachineModel,
+    scheme: SchemeKind,
+    trace: impl Into<TraceCursor>,
+) -> EirResult {
+    let cursor = trace.into();
+    if crate::sanitize::ENABLED {
+        let (result, diags) = crate::sanitize::measure_eir_checked(machine, scheme, cursor);
+        crate::sanitize::assert_clean(
+            &format!("measure_eir_reference({scheme}, {})", machine.name),
+            &diags,
+        );
+        return result;
+    }
+    measure_eir_observed(machine, scheme, cursor, None)
+}
+
+/// [`measure_eir_reference`] with an optional sanitizer observing every
+/// fetch cycle (see [`simulate_observed`] for the gating pattern).
 pub(crate) fn measure_eir_observed(
     machine: &MachineModel,
     scheme: SchemeKind,
@@ -691,33 +656,6 @@ pub(crate) fn measure_eir_observed(
         delivered: fetch.delivered(),
         fetch: *fetch.stats(),
     }
-}
-
-/// Block-stream [`measure_eir`]: the fast loop, plus the same
-/// differential-oracle check as [`simulate`]'s block path when the
-/// sanitizer is enabled.
-fn measure_eir_blocks(
-    machine: &MachineModel,
-    scheme: SchemeKind,
-    cursor: BlockCursor,
-) -> EirResult {
-    let oracle_input = (crate::sanitize::ENABLED && cursor.pos() == 0).then(|| cursor.shared());
-    let fast = measure_eir_blocks_fast(machine, scheme, cursor);
-    if let Some(stream) = oracle_input {
-        let (oracle, diags) =
-            crate::sanitize::measure_eir_checked(machine, scheme, stream.materialize());
-        crate::sanitize::assert_clean(
-            &format!("measure_eir_blocks({scheme}, {})", machine.name),
-            &diags,
-        );
-        assert_eq!(
-            fast, oracle,
-            "block-stream EIR fast path diverged from the per-instruction \
-             oracle ({scheme}, {})",
-            machine.name
-        );
-    }
-    fast
 }
 
 /// The block-stream EIR loop. With the idealized back end, a mispredict
@@ -764,7 +702,9 @@ fn measure_eir_blocks_fast(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fetchmech_isa::{Layout, LayoutOptions};
+    use std::sync::Arc;
+
+    use fetchmech_isa::{BlockStream, DynInst, Layout, LayoutOptions};
     use fetchmech_workloads::{suite, InputId};
 
     fn trace_of(machine: &MachineModel, n: u64) -> Vec<DynInst> {
@@ -818,19 +758,19 @@ mod tests {
     }
 
     /// The block-stream fast path must produce the same `SimResult` and
-    /// `EirResult` as the per-instruction path, field for field. (In debug
-    /// builds the block path additionally self-checks against the sanitized
-    /// oracle inside `simulate`, so this test exercises that machinery too.)
+    /// `EirResult` as the per-instruction reference, field for field. (In
+    /// debug builds `simulate` additionally self-checks against the
+    /// sanitized reference, so this test exercises that machinery too.)
     #[test]
     fn block_stream_paths_match_per_instruction_paths() {
         for machine in [MachineModel::p14(), MachineModel::p112()] {
             let trace = trace_of(&machine, 4_000);
             let stream = Arc::new(BlockStream::from_insts(&trace));
             for scheme in SchemeKind::ALL {
-                let a = simulate(&machine, scheme, trace.clone());
+                let a = simulate_reference(&machine, scheme, trace.clone());
                 let b = simulate(&machine, scheme, Arc::clone(&stream));
                 assert_eq!(a, b, "simulate mismatch: {scheme}, {}", machine.name);
-                let ea = measure_eir(&machine, scheme, trace.clone());
+                let ea = measure_eir_reference(&machine, scheme, trace.clone());
                 let eb = measure_eir(&machine, scheme, Arc::clone(&stream));
                 assert_eq!(ea, eb, "eir mismatch: {scheme}, {}", machine.name);
             }

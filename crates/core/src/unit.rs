@@ -32,7 +32,7 @@
 use fetchmech_bpred::{Btb, Gshare, PredictorKind, Tournament};
 use fetchmech_cache::ICache;
 use fetchmech_isa::{Addr, DynInst, OpClass};
-use fetchmech_pipeline::{BlockCursor, FetchPacket, FetchUnit, FetchedInst, TraceCursor};
+use fetchmech_pipeline::{BlockCursor, FetchPacket, FetchedInst, TraceCursor};
 
 use crate::scheme::SchemeKind;
 
@@ -539,7 +539,8 @@ impl FrontEnd {
 }
 
 /// The per-instruction fetch unit — the reference oracle. Construct with
-/// [`AlignedFetchUnit::new`] and drive through the [`FetchUnit`] trait.
+/// [`AlignedFetchUnit::new`] and drive one [`cycle`](Self::cycle) at a
+/// time.
 #[derive(Debug)]
 pub struct AlignedFetchUnit {
     fe: FrontEnd,
@@ -580,10 +581,25 @@ impl AlignedFetchUnit {
     pub fn delivered_useful(&self) -> u64 {
         self.fe.delivered_useful
     }
-}
 
-impl FetchUnit for AlignedFetchUnit {
-    fn cycle(&mut self, cycle: u64, unresolved_branches: u32) -> FetchPacket {
+    /// Produces this cycle's packet.
+    ///
+    /// The contract with the simulator driving the unit:
+    ///
+    /// 1. `cycle` is called once per simulated cycle in which the
+    ///    decoupling queue has room. It returns the instructions the
+    ///    mechanism could align and deliver that cycle (possibly none).
+    /// 2. If the returned packet
+    ///    [ends mispredicted](FetchPacket::ends_mispredicted), the unit
+    ///    delivers nothing until [`on_mispredict_resolved`](Self::on_mispredict_resolved)
+    ///    is called with the cycle at which the offending instruction
+    ///    executed; delivery then resumes no earlier than
+    ///    `resolution + fetch_penalty` cycles.
+    /// 3. `unresolved_branches` is the number of in-flight predicted
+    ///    conditional branches (dispatched or queued, not yet executed); the
+    ///    unit never fetches *past* a conditional branch once the count has
+    ///    reached the machine's speculation depth.
+    pub fn cycle(&mut self, cycle: u64, unresolved_branches: u32) -> FetchPacket {
         if self.fe.waiting_resolve {
             self.fe.stats.redirect_stall_cycles += 1;
             return FetchPacket::empty();
@@ -685,20 +701,23 @@ impl FetchUnit for AlignedFetchUnit {
         packet
     }
 
-    fn on_mispredict_resolved(&mut self, cycle: u64) {
+    /// Reports that the mispredicted control transfer at the end of a
+    /// previous packet executed at `cycle`.
+    pub fn on_mispredict_resolved(&mut self, cycle: u64) {
         self.fe.on_mispredict_resolved(cycle);
     }
 
-    fn done(&mut self) -> bool {
+    /// Returns `true` once the trace is exhausted and everything has been
+    /// delivered.
+    #[must_use]
+    pub fn done(&self) -> bool {
         self.cursor.is_done()
     }
 
-    fn delivered(&self) -> u64 {
+    /// Total instructions delivered so far (the numerator of EIR).
+    #[must_use]
+    pub fn delivered(&self) -> u64 {
         self.fe.delivered
-    }
-
-    fn name(&self) -> &'static str {
-        self.fe.cfg.scheme.name()
     }
 }
 

@@ -1,8 +1,9 @@
 //! The block-stream differential oracle at grid scale.
 //!
 //! The fast path ([`simulate`]/[`measure_eir`] over an `Arc<BlockStream>`)
-//! must be *bit-identical* to the per-instruction reference path on every
-//! cell the experiment drivers run. In debug builds the simulator already
+//! must be *bit-identical* to the per-instruction reference
+//! ([`simulate_reference`]/[`measure_eir_reference`]) on every cell the
+//! experiment drivers run. In debug builds the simulator already
 //! self-checks each block-stream run against the sanitized oracle; this test
 //! additionally pins the equivalence in release builds (where the internal
 //! check compiles out and the perf gate runs) by comparing whole
@@ -19,7 +20,7 @@ use std::sync::Arc;
 use fetchmech::isa::{BlockStream, Layout, LayoutOptions};
 use fetchmech::pipeline::MachineModel;
 use fetchmech::workloads::{suite, InputId, Workload};
-use fetchmech::{measure_eir, simulate, SchemeKind};
+use fetchmech::{measure_eir, measure_eir_reference, simulate, simulate_reference, SchemeKind};
 
 const LEN: u64 = 2_000;
 
@@ -44,7 +45,7 @@ fn check_bench(machine: &MachineModel, w: &Workload) {
     );
     let from_trace = BlockStream::from_insts(&trace);
     for scheme in SchemeKind::ALL {
-        let reference = simulate(machine, scheme, trace.clone());
+        let reference = simulate_reference(machine, scheme, trace.clone());
         let fast = simulate(machine, scheme, Arc::clone(&stream));
         assert_eq!(
             reference, fast,
@@ -57,7 +58,7 @@ fn check_bench(machine: &MachineModel, w: &Workload) {
             "{}/{scheme}/{}: re-encoded stream simulate diverged",
             w.spec.name, machine.name
         );
-        let eir_reference = measure_eir(machine, scheme, trace.clone());
+        let eir_reference = measure_eir_reference(machine, scheme, trace.clone());
         let eir_fast = measure_eir(machine, scheme, Arc::clone(&stream));
         assert_eq!(
             eir_reference, eir_fast,

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use fetchmech::isa::{Layout, LayoutOptions};
 use fetchmech::pipeline::MachineModel;
 use fetchmech::workloads::{InputId, Workload, WorkloadSpec};
-use fetchmech::{measure_eir, simulate, SchemeKind};
+use fetchmech::{measure_eir, measure_eir_reference, simulate, simulate_reference, SchemeKind};
 use proptest::prelude::*;
 
 const LEN: u64 = 1_200;
@@ -75,8 +75,8 @@ fn arb_spec() -> impl Strategy<Value = WorkloadSpec> {
 proptest! {
     #![proptest_config(proptest::test_runner::Config::with_cases(48))]
 
-    /// `simulate` and `measure_eir` agree between the per-instruction and
-    /// block-stream paths on randomized CFGs, field for field.
+    /// `simulate` and `measure_eir` agree with `simulate_reference` and
+    /// `measure_eir_reference` on randomized CFGs, field for field.
     #[test]
     fn random_cfgs_simulate_identically(
         spec in arb_spec(),
@@ -94,11 +94,11 @@ proptest! {
         let stream = Arc::new(w.block_stream(&layout, input, LEN));
         prop_assert_eq!(stream.materialize(), trace.clone());
 
-        let reference = simulate(&machine, scheme, trace.clone());
+        let reference = simulate_reference(&machine, scheme, trace.clone());
         let fast = simulate(&machine, scheme, Arc::clone(&stream));
         prop_assert_eq!(&reference, &fast);
 
-        let eir_reference = measure_eir(&machine, scheme, trace);
+        let eir_reference = measure_eir_reference(&machine, scheme, trace);
         let eir_fast = measure_eir(&machine, scheme, stream);
         prop_assert_eq!(&eir_reference, &eir_fast);
     }

@@ -1,4 +1,4 @@
-//! The fetch-unit interface and the trace cursor it consumes.
+//! Fetch packets and the cursors fetch units consume.
 //!
 //! Fetch mechanisms (implemented in the `fetchmech` core crate) are
 //! *trace-driven*: they see the correct-path dynamic instruction stream and
@@ -55,41 +55,6 @@ impl FetchPacket {
     pub fn ends_mispredicted(&self) -> bool {
         self.insts.last().is_some_and(|f| f.mispredicted)
     }
-}
-
-/// A fetch mechanism, driven one cycle at a time by the simulator.
-///
-/// The contract:
-///
-/// 1. [`FetchUnit::cycle`] is called once per simulated cycle in which the
-///    decoupling queue has room. It returns the instructions the mechanism
-///    could align and deliver that cycle (possibly none).
-/// 2. If the returned packet [ends mispredicted](FetchPacket::ends_mispredicted),
-///    the unit must deliver nothing until
-///    [`FetchUnit::on_mispredict_resolved`] is called with the cycle at which
-///    the offending instruction executed; delivery then resumes no earlier
-///    than `resolution + fetch_penalty` cycles.
-/// 3. `unresolved_branches` is the number of in-flight predicted conditional
-///    branches (dispatched or queued, not yet executed); implementations must
-///    not fetch *past* a conditional branch when the count has reached the
-///    machine's speculation depth.
-pub trait FetchUnit {
-    /// Produces this cycle's packet.
-    fn cycle(&mut self, cycle: u64, unresolved_branches: u32) -> FetchPacket;
-
-    /// Reports that the mispredicted control transfer at the end of a
-    /// previous packet executed at `cycle`.
-    fn on_mispredict_resolved(&mut self, cycle: u64);
-
-    /// Returns `true` once the trace is exhausted and everything has been
-    /// delivered.
-    fn done(&mut self) -> bool;
-
-    /// Total instructions delivered so far (the numerator of EIR).
-    fn delivered(&self) -> u64;
-
-    /// A short display name ("sequential", "collapsing", …).
-    fn name(&self) -> &'static str;
 }
 
 /// A peekable cursor over a shared, immutable dynamic instruction trace.
@@ -377,6 +342,22 @@ impl From<BlockStream> for BlockCursor {
     }
 }
 
+/// Run-length encodes a per-instruction trace through
+/// [`BlockStream::from_insts`].
+impl From<Vec<DynInst>> for BlockCursor {
+    fn from(trace: Vec<DynInst>) -> Self {
+        BlockStream::from_insts(&trace).into()
+    }
+}
+
+/// Run-length encodes a shared per-instruction trace through
+/// [`BlockStream::from_insts`].
+impl From<&std::sync::Arc<[DynInst]>> for BlockCursor {
+    fn from(trace: &std::sync::Arc<[DynInst]>) -> Self {
+        BlockStream::from_insts(trace).into()
+    }
+}
+
 impl From<Vec<DynInst>> for TraceCursor {
     fn from(trace: Vec<DynInst>) -> Self {
         Self::new(trace)
@@ -398,12 +379,6 @@ impl From<&std::sync::Arc<[DynInst]>> for TraceCursor {
 impl From<&[DynInst]> for TraceCursor {
     fn from(trace: &[DynInst]) -> Self {
         Self::new(trace)
-    }
-}
-
-impl FromIterator<DynInst> for TraceCursor {
-    fn from_iter<I: IntoIterator<Item = DynInst>>(iter: I) -> Self {
-        Self::new(iter.into_iter().collect::<Vec<_>>())
     }
 }
 

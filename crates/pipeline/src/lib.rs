@@ -6,9 +6,9 @@
 //! * [`MachineModel`] — the P14 / P18 / P112 configurations of Table 1,
 //! * [`OooCore`] — a full-Tomasulo scheduling window with tag renaming,
 //!   fully-pipelined functional units, and a reorder buffer,
-//! * [`FetchUnit`] / [`FetchPacket`] / [`TraceCursor`] — the contract between
-//!   the fetch mechanisms (implemented in the `fetchmech` core crate) and the
-//!   pipeline driver,
+//! * [`FetchPacket`] / [`TraceCursor`] / [`BlockCursor`] — what the fetch
+//!   mechanisms (implemented in the `fetchmech` core crate) consume and
+//!   deliver,
 //! * [`SchemeKind`] — the five fetch-alignment mechanisms of §3, hosted here
 //!   (rather than in the core crate) so analysis layers can reason about
 //!   scheme legality without depending on the simulator.
@@ -32,7 +32,7 @@ pub mod machine;
 pub mod ooo;
 pub mod scheme;
 
-pub use fetch::{BlockCursor, FetchPacket, FetchUnit, FetchedInst, TraceCursor};
+pub use fetch::{BlockCursor, FetchPacket, FetchedInst, TraceCursor};
 pub use machine::MachineModel;
 pub use ooo::{OooConfig, OooCore, OooStats, Resolved, StreamCore};
 pub use scheme::{ParseSchemeError, SchemeKind};

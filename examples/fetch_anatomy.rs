@@ -13,7 +13,7 @@
 use fetchmech::isa::{
     disasm, Inst, Layout, LayoutOptions, OpClass, ProgramBuilder, Reg, Terminator,
 };
-use fetchmech::pipeline::{FetchUnit, MachineModel};
+use fetchmech::pipeline::MachineModel;
 use fetchmech::sim::build_fetch_unit;
 use fetchmech::workloads::{BehaviorMap, BranchModel, Executor, InputId};
 use fetchmech::SchemeKind;

@@ -24,7 +24,7 @@ use fetchmech::experiments::{ExpConfig, Lab, LayoutVariant};
 use fetchmech::json::Value;
 use fetchmech::pipeline::MachineModel;
 use fetchmech::workloads::WorkloadClass;
-use fetchmech::{measure_eir, simulate, EirResult, SchemeKind, SimResult};
+use fetchmech::{measure_eir_reference, simulate_reference, EirResult, SchemeKind, SimResult};
 
 fn grid(lab: &Lab) -> Vec<(MachineModel, SchemeKind, &'static str)> {
     let mut jobs = Vec::new();
@@ -93,7 +93,7 @@ fn main() {
             .map(|(machine, scheme, bench)| {
                 let trace =
                     insts_lab.test_trace(bench, LayoutVariant::Natural, machine.block_bytes);
-                simulate(machine, *scheme, &trace)
+                simulate_reference(machine, *scheme, &trace)
             })
             .collect::<Vec<SimResult>>()
     });
@@ -102,7 +102,7 @@ fn main() {
             .map(|(machine, scheme, bench)| {
                 let trace =
                     insts_lab.test_trace(bench, LayoutVariant::Natural, machine.block_bytes);
-                measure_eir(machine, *scheme, &trace)
+                measure_eir_reference(machine, *scheme, &trace)
             })
             .collect::<Vec<EirResult>>()
     });

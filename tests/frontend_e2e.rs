@@ -11,7 +11,7 @@ use fetchmech::compiler::{optimize, OptimizeConfig, PassKind, Profile};
 use fetchmech::isa::{Layout, LayoutOptions};
 use fetchmech::pipeline::MachineModel;
 use fetchmech::workloads::{InputId, Workload, WorkloadSpec};
-use fetchmech::{simulate, SchemeKind};
+use fetchmech::{simulate, simulate_reference, SchemeKind};
 use fetchmech_analysis::{has_errors, verify_optimized, verify_profile, verify_program, Severity};
 use fetchmech_frontend::{parse, Format};
 
@@ -94,7 +94,7 @@ fn block_stream_fast_path_matches_per_instruction_path() {
         let trace: Vec<_> = w.executor(&layout, InputId::TEST, INSTS).collect();
         let stream = Arc::new(w.block_stream(&layout, InputId::TEST, INSTS));
         for scheme in SchemeKind::ALL {
-            let reference = simulate(&machine, scheme, trace.clone());
+            let reference = simulate_reference(&machine, scheme, trace.clone());
             let fast = simulate(&machine, scheme, Arc::clone(&stream));
             assert_eq!(reference, fast, "{name} on {scheme}: paths diverge");
         }

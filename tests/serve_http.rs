@@ -14,7 +14,7 @@ use fetchmech::experiments::{ExpConfig, Lab, LayoutVariant, TraceKey};
 use fetchmech::json::{parse, Value};
 use fetchmech::pipeline::MachineModel;
 use fetchmech::workloads::InputId;
-use fetchmech::{simulate, SchemeKind};
+use fetchmech::{simulate_reference, SchemeKind};
 use fetchmech_repro::serve::engine::SimKey;
 use fetchmech_repro::serve::{api, ServeConfig, Server};
 
@@ -110,7 +110,7 @@ fn wait_for(addr: SocketAddr, what: &str, pred: impl Fn(&Value) -> bool) {
 /// rendered through the same JSON path, plus the wire newline.
 ///
 /// Deliberately the per-instruction reference path (`lab.trace` +
-/// `simulate(&trace)`), not the block stream the service runs: every
+/// `simulate_reference(&trace)`), not the block stream the service runs: every
 /// byte-identity assertion against this body then also checks the shipped
 /// fast path against the reference simulator.
 fn expected_body(lab: &Lab, key: &SimKey, machine: &MachineModel) -> String {
@@ -121,7 +121,7 @@ fn expected_body(lab: &Lab, key: &SimKey, machine: &MachineModel) -> String {
         input: InputId::TEST,
         limit: key.insts,
     });
-    let result = simulate(machine, key.scheme, &trace);
+    let result = simulate_reference(machine, key.scheme, &trace);
     format!("{}\n", api::sim_result_json(key, &result).pretty())
 }
 
