@@ -34,6 +34,10 @@ cargo run -q -p fetchmech-repro --bin fetchmech-lint -- sanitize --short
 
 echo "==> fetchmech-lint analyze (dataflow + static fetch geometry, full suite)"
 cargo run -q -p fetchmech-repro --bin fetchmech-lint -- analyze --insts 4000 --json >/dev/null
+# The reordered, padded code image end to end: layout and trace come from the
+# same Lab derivation the paper drivers use, measured EIR checked per scheme.
+cargo run -q -p fetchmech-repro --bin fetchmech-lint -- analyze --layout pad-trace --measured \
+    --insts 4000 --json >/dev/null
 
 echo "==> fetchmech-lint opt (pass pipeline + translation validation, full suite)"
 cargo run -q -p fetchmech-repro --bin fetchmech-lint -- opt --verify --insts 4000 --json >/dev/null

@@ -439,15 +439,10 @@ impl Lab {
             ));
         }
         let interned: &'static str = Box::leak(name.to_owned().into_boxed_str());
-        // The seed derives from the name (FNV-1a), so trace generation for a
-        // given registered program is reproducible across processes.
-        let seed = name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        });
         external.push((
             interned,
             Arc::new(Workload {
-                spec: WorkloadSpec::external(interned, seed),
+                spec: WorkloadSpec::external(interned),
                 program,
                 behaviors,
             }),

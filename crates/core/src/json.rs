@@ -13,8 +13,8 @@
 //! * [`escape`] / [`escape_into`] — string escaping per RFC 8259.
 //! * [`parse`] — a recursive-descent parser with a depth limit, used by the
 //!   experiment service to decode request bodies.
-//! * [`diagnostics_json`] — the lint CLI's diagnostic reporter, moved here
-//!   from `fetchmech-analysis` so every JSON emitter shares one writer.
+//! * [`diagnostics_value`] — the lint CLI's diagnostic reporter, so every
+//!   JSON emitter shares one writer.
 //!
 //! Numbers render deterministically: integers print exactly ([`Value::Uint`]
 //! and [`Value::Int`] hold the full 64-bit range), and floats use Rust's
@@ -252,11 +252,11 @@ pub fn escape_into(out: &mut String, s: &str) {
     }
 }
 
-/// Renders diagnostics as a JSON array — the lint CLI's machine-readable
-/// reporter (schema: `[{"rule_id", "severity", "location", "message"}]`),
-/// previously hand-rolled inside `fetchmech-analysis`.
+/// Diagnostics as a JSON array — the lint CLI's machine-readable reporter
+/// (schema: `[{"rule_id", "severity", "location", "message"}]`), rendered
+/// alone or embedded in a larger report.
 #[must_use]
-pub fn diagnostics_json(diags: &[Diagnostic]) -> String {
+pub fn diagnostics_value(diags: &[Diagnostic]) -> Value {
     Value::Array(
         diags
             .iter()
@@ -270,7 +270,6 @@ pub fn diagnostics_json(diags: &[Diagnostic]) -> String {
             })
             .collect(),
     )
-    .pretty()
 }
 
 // ---------------------------------------------------------------------------
@@ -689,14 +688,14 @@ mod tests {
                 message: "suspicious".to_string(),
             },
         ];
-        let json = diagnostics_json(&diags);
+        let json = diagnostics_value(&diags).pretty();
         assert!(json.contains("\\\"quoted\\\"\\nbroke"), "{json}");
         assert!(json.contains("\"rule_id\": \"prog.test-rule\""), "{json}");
         assert!(json.contains("\"severity\": \"warning\""), "{json}");
         assert!(json.contains("\"location\": \"trace#3\""), "{json}");
         assert!(json.starts_with('[') && json.ends_with(']'));
         assert!(!json.chars().any(|c| (c as u32) < 0x20 && c != '\n'));
-        assert_eq!(diagnostics_json(&[]), "[]");
+        assert_eq!(diagnostics_value(&[]).pretty(), "[]");
         // The reporter's output is itself valid JSON.
         let parsed = parse(&json).expect("reporter emits valid JSON");
         assert_eq!(parsed.as_array().map(<[Value]>::len), Some(2));

@@ -272,7 +272,7 @@ fn branch_model(instr: &Value) -> Result<BranchModel, String> {
         let spec = p
             .as_str()
             .ok_or("\"pattern\" must be a \"bits:noise\" string")?;
-        return crate::ir::parse_model(&format!("pattern={spec}"), 0).map_err(|e| e.message);
+        return BranchModel::parse_annotation(&format!("pattern={spec}"));
     }
     Ok(BranchModel::Bernoulli(0.5))
 }

@@ -135,7 +135,7 @@ impl LoweredProgram {
         let mut h = self.program.fingerprint();
         let mix = |h: &mut u64, v: u64| {
             *h ^= v;
-            *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            *h = h.wrapping_mul(fetchmech_isa::FNV_PRIME);
         };
         for i in 0..self.behaviors.len() {
             match self.behaviors.model(fetchmech_isa::BranchId(i as u32)) {
@@ -280,72 +280,4 @@ pub(crate) fn lower(module: &Module) -> Result<LoweredProgram, FrontendError> {
         behaviors: BehaviorMap::new(models),
         labels,
     })
-}
-
-/// Parses the shared behaviour-annotation grammar (`p=0.7`, `loop=20`,
-/// `fixed=8`, `pattern=1101:0.05`) used by both frontends.
-pub(crate) fn parse_model(anno: &str, line: usize) -> Result<BranchModel, FrontendError> {
-    let (key, value) = anno
-        .split_once('=')
-        .ok_or_else(|| err(line, format!("bad behaviour annotation @{anno}")))?;
-    let value = value.trim();
-    match key.trim() {
-        "p" => {
-            let p: f64 = value
-                .parse()
-                .map_err(|_| err(line, format!("bad probability {value:?}")))?;
-            if !(0.0..=1.0).contains(&p) {
-                return Err(err(line, "probability must be in [0, 1]"));
-            }
-            Ok(BranchModel::Bernoulli(p))
-        }
-        "loop" => {
-            let m: f64 = value
-                .parse()
-                .map_err(|_| err(line, format!("bad loop mean {value:?}")))?;
-            if m < 1.0 {
-                return Err(err(line, "loop mean must be >= 1"));
-            }
-            Ok(BranchModel::Loop { mean_trips: m })
-        }
-        "fixed" => {
-            let t: u64 = value
-                .parse()
-                .map_err(|_| err(line, format!("bad trip count {value:?}")))?;
-            if t == 0 {
-                return Err(err(line, "fixed trips must be >= 1"));
-            }
-            Ok(BranchModel::FixedLoop { trips: t })
-        }
-        "pattern" => {
-            let (bits_s, noise_s) = value
-                .split_once(':')
-                .ok_or_else(|| err(line, "pattern needs `bits:noise`"))?;
-            let bits_s = bits_s.trim();
-            if bits_s.is_empty() || bits_s.len() > 32 {
-                return Err(err(line, "pattern needs 1..=32 bits"));
-            }
-            let mut bits = 0u32;
-            for (i, c) in bits_s.chars().enumerate() {
-                match c {
-                    '1' => bits |= 1 << i,
-                    '0' => {}
-                    _ => return Err(err(line, "pattern bits must be 0 or 1")),
-                }
-            }
-            let noise: f64 = noise_s
-                .trim()
-                .parse()
-                .map_err(|_| err(line, format!("bad pattern noise {noise_s:?}")))?;
-            if !(0.0..=1.0).contains(&noise) {
-                return Err(err(line, "noise must be in [0, 1]"));
-            }
-            Ok(BranchModel::Pattern {
-                bits,
-                len: bits_s.len() as u8,
-                noise,
-            })
-        }
-        other => Err(err(line, format!("unknown behaviour annotation @{other}="))),
-    }
 }

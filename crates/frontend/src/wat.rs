@@ -24,7 +24,7 @@
 use fetchmech_isa::{Inst, OpClass, Reg};
 use fetchmech_workloads::BranchModel;
 
-use crate::ir::{err, parse_model, BlockIr, FrontendError, FuncIr, Module, Term};
+use crate::ir::{err, BlockIr, FrontendError, FuncIr, Module, Term};
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Tok {
@@ -455,7 +455,7 @@ fn parse_func(cur: &mut Cursor, func_line: usize) -> Result<FuncIr, FrontendErro
                 }
             }
             Tok::Anno(anno) => {
-                let model = parse_model(&anno, t.line)?;
+                let model = BranchModel::parse_annotation(&anno).map_err(|m| err(t.line, m))?;
                 let Some(bi) = fb.last_cond else {
                     return Err(err(t.line, "behaviour annotation with no preceding br_if"));
                 };

@@ -276,11 +276,10 @@ impl Program {
     /// content-addressed identifiers from it.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = crate::hash::FNV_OFFSET;
         let mut mix = |v: u64| {
             h ^= v;
-            h = h.wrapping_mul(PRIME);
+            h = h.wrapping_mul(crate::hash::FNV_PRIME);
         };
         let reg = |r: Option<Reg>| -> u64 {
             match r {

@@ -50,6 +50,7 @@ pub mod addr;
 pub mod cfg;
 pub mod dom;
 pub mod encode;
+pub mod hash;
 pub mod hooks;
 pub mod layout;
 pub mod op;
@@ -66,6 +67,7 @@ pub use cfg::{
 };
 pub use dom::Dominators;
 pub use encode::{decode, disasm, encode, encode_image, DecodeError, Decoded, EncodeError};
+pub use hash::{fnv1a64, fnv1a64_extend, FNV_OFFSET, FNV_PRIME};
 pub use layout::{
     CtrlAttr, LaidInst, Layout, LayoutError, LayoutOptions, LayoutStats, PadMode, RawLayout,
 };

@@ -321,7 +321,10 @@ fn parse_statement(line: &str, ln: usize) -> Result<Statement, AsmError> {
                 srcs[i] = Some(parse_reg(s, ln)?);
             }
             let (labels_part, model) = match targets.split_once('@') {
-                Some((l, anno)) => (l, parse_model(anno.trim(), ln)?),
+                Some((l, anno)) => (
+                    l,
+                    BranchModel::parse_annotation(anno.trim()).map_err(|m| err(ln, m))?,
+                ),
                 None => (targets, BranchModel::Bernoulli(0.5)),
             };
             let (taken, fall) = labels_part
@@ -401,71 +404,6 @@ fn parse_mem(s: &str, ln: usize) -> Result<(Reg, i8), AsmError> {
         None => 0,
     };
     Ok((reg, imm))
-}
-
-fn parse_model(anno: &str, ln: usize) -> Result<BranchModel, AsmError> {
-    let (key, value) = anno
-        .split_once('=')
-        .ok_or_else(|| err(ln, format!("bad annotation @{anno}")))?;
-    match key.trim() {
-        "p" => {
-            let p: f64 = value
-                .trim()
-                .parse()
-                .map_err(|_| err(ln, "bad probability"))?;
-            if !(0.0..=1.0).contains(&p) {
-                return Err(err(ln, "probability must be in [0, 1]"));
-            }
-            Ok(BranchModel::Bernoulli(p))
-        }
-        "loop" => {
-            let m: f64 = value.trim().parse().map_err(|_| err(ln, "bad loop mean"))?;
-            if m < 1.0 {
-                return Err(err(ln, "loop mean must be >= 1"));
-            }
-            Ok(BranchModel::Loop { mean_trips: m })
-        }
-        "fixed" => {
-            let t: u64 = value
-                .trim()
-                .parse()
-                .map_err(|_| err(ln, "bad trip count"))?;
-            if t == 0 {
-                return Err(err(ln, "fixed trips must be >= 1"));
-            }
-            Ok(BranchModel::FixedLoop { trips: t })
-        }
-        "pattern" => {
-            let (bits_s, noise_s) = value
-                .split_once(':')
-                .ok_or_else(|| err(ln, "pattern needs `bits:noise`"))?;
-            let bits_s = bits_s.trim();
-            if bits_s.is_empty() || bits_s.len() > 32 {
-                return Err(err(ln, "pattern needs 1..=32 bits"));
-            }
-            let mut bits = 0u32;
-            for (i, c) in bits_s.chars().enumerate() {
-                match c {
-                    '1' => bits |= 1 << i,
-                    '0' => {}
-                    _ => return Err(err(ln, "pattern bits must be 0 or 1")),
-                }
-            }
-            let noise: f64 = noise_s
-                .trim()
-                .parse()
-                .map_err(|_| err(ln, "bad pattern noise"))?;
-            if !(0.0..=1.0).contains(&noise) {
-                return Err(err(ln, "noise must be in [0, 1]"));
-            }
-            Ok(BranchModel::Pattern {
-                bits,
-                len: bits_s.len() as u8,
-                noise,
-            })
-        }
-        other => Err(err(ln, format!("unknown annotation @{other}="))),
-    }
 }
 
 #[cfg(test)]

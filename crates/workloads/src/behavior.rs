@@ -69,6 +69,78 @@ impl BranchModel {
             }
         }
     }
+
+    /// Parses one behaviour annotation — `p=0.7`, `loop=20`, `fixed=8` or
+    /// `pattern=1101:0.05` — the grammar the assembler and both program
+    /// frontends share. Callers attach their own line numbers to the error.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the malformed or out-of-range part.
+    pub fn parse_annotation(anno: &str) -> Result<Self, String> {
+        let (key, value) = anno
+            .split_once('=')
+            .ok_or_else(|| format!("bad behaviour annotation @{anno}"))?;
+        let value = value.trim();
+        match key.trim() {
+            "p" => {
+                let p: f64 = value
+                    .parse()
+                    .map_err(|_| format!("bad probability {value:?}"))?;
+                if !(0.0..=1.0).contains(&p) {
+                    return Err("probability must be in [0, 1]".into());
+                }
+                Ok(BranchModel::Bernoulli(p))
+            }
+            "loop" => {
+                let m: f64 = value
+                    .parse()
+                    .map_err(|_| format!("bad loop mean {value:?}"))?;
+                if m < 1.0 {
+                    return Err("loop mean must be >= 1".into());
+                }
+                Ok(BranchModel::Loop { mean_trips: m })
+            }
+            "fixed" => {
+                let t: u64 = value
+                    .parse()
+                    .map_err(|_| format!("bad trip count {value:?}"))?;
+                if t == 0 {
+                    return Err("fixed trips must be >= 1".into());
+                }
+                Ok(BranchModel::FixedLoop { trips: t })
+            }
+            "pattern" => {
+                let (bits_s, noise_s) =
+                    value.split_once(':').ok_or("pattern needs `bits:noise`")?;
+                let bits_s = bits_s.trim();
+                if bits_s.is_empty() || bits_s.len() > 32 {
+                    return Err("pattern needs 1..=32 bits".into());
+                }
+                let mut bits = 0u32;
+                for (i, c) in bits_s.chars().enumerate() {
+                    match c {
+                        '1' => bits |= 1 << i,
+                        '0' => {}
+                        _ => return Err("pattern bits must be 0 or 1".into()),
+                    }
+                }
+                let noise: f64 = noise_s
+                    .trim()
+                    .parse()
+                    .map_err(|_| format!("bad pattern noise {noise_s:?}"))?;
+                if !(0.0..=1.0).contains(&noise) {
+                    return Err("noise must be in [0, 1]".into());
+                }
+                Ok(BranchModel::Pattern {
+                    bits,
+                    len: bits_s.len() as u8,
+                    noise,
+                })
+            }
+            other => Err(format!("unknown behaviour annotation @{other}=")),
+        }
+    }
 }
 
 fn mask(len: u8) -> u32 {

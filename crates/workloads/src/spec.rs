@@ -8,7 +8,9 @@
 //! these specs lives in [`crate::suite`].
 
 use fetchmech_isa::rng::Pcg64;
-use fetchmech_isa::{BlockId, FuncId, Inst, OpClass, Program, ProgramBuilder, Reg, Terminator};
+use fetchmech_isa::{
+    fnv1a64, BlockId, FuncId, Inst, OpClass, Program, ProgramBuilder, Reg, Terminator,
+};
 
 use crate::behavior::{BehaviorMap, BranchModel};
 
@@ -119,12 +121,16 @@ impl WorkloadSpec {
     /// drive trace seeding and per-input behaviour perturbation exactly as
     /// for generated workloads. Never pass this spec to
     /// [`Workload::generate`].
+    ///
+    /// The seed is the FNV-1a hash of `name`, so every process that runs a
+    /// program under the same id generates the same traces — stored results
+    /// of uploaded programs replay only while this rule holds.
     #[must_use]
-    pub fn external(name: &'static str, seed: u64) -> Self {
+    pub fn external(name: &'static str) -> Self {
         Self {
             name,
             class: WorkloadClass::Int,
-            seed,
+            seed: fnv1a64(name.as_bytes()),
             funcs: 1,
             segments_per_func: (1, 1),
             block_len: (1, 1),
@@ -679,6 +685,13 @@ mod tests {
         s.funcs = 3;
         s.segments_per_func = (3, 6);
         s
+    }
+
+    #[test]
+    fn external_seed_is_pinned_to_the_name() {
+        // Stored results of uploaded programs replay only if this never drifts.
+        let spec = WorkloadSpec::external("prog-0123456789abcdef");
+        assert_eq!(spec.seed, 0xb2a0_dbef_db46_0064);
     }
 
     #[test]

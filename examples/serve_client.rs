@@ -18,6 +18,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use fetchmech::isa::{fnv1a64, fnv1a64_extend};
 use fetchmech::json::{parse, Value};
 
 const CLIENTS: usize = 32;
@@ -71,11 +72,7 @@ fn request(
 /// Deterministic jitter in `[0, spread)` from an FNV-1a hash of the request
 /// identity and attempt — replayable, yet de-synchronized across clients.
 fn jitter_ms(tag: &str, attempt: u32, spread: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in tag.as_bytes().iter().chain(&attempt.to_le_bytes()) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let h = fnv1a64_extend(fnv1a64(tag.as_bytes()), &attempt.to_le_bytes());
     if spread == 0 {
         0
     } else {

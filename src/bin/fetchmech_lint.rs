@@ -81,32 +81,36 @@
 //!   --help              print this help
 //! ```
 //!
-//! The default mode generates each workload, collects a profile, selects
-//! traces, reorders, lays out (natural, reordered, pad-all, pad-trace), and
-//! runs every applicable pass over each artifact — including the dynamic
-//! trace diff. The `sanitize` mode instead executes each workload and runs
-//! the full simulator under the cycle-level sanitizer for every fetch
-//! scheme, then the cross-scheme EIR dominance harness over one shared
-//! trace. Exit status is 1 if any error-severity diagnostic was produced,
-//! 2 on usage errors.
+//! Every suite artifact the CLI checks — profile, reordering, the four
+//! layouts (natural, pad-all, reordered, pad-trace) and the test-input
+//! traces — comes from one [`Lab`] sized by `--insts`, so the checks cover
+//! the same derivation the paper drivers and `fetchmech-serve` run. The
+//! default mode runs every applicable pass over each artifact, including
+//! the dynamic trace diff. The `sanitize` mode instead runs the full
+//! simulator under the cycle-level sanitizer for every fetch scheme, then
+//! the cross-scheme EIR dominance harness over one shared trace. Only
+//! `frontend` builds artifacts itself: external programs are not in the
+//! lab. Exit status is 1 if any error-severity diagnostic was produced, 2
+//! on usage errors.
 
 use std::process::ExitCode;
 use std::sync::Arc;
 
 use fetchmech::compiler::{
-    build_ssa, layout_pad_all, optimize, reorder, select_traces, OptimizeConfig, Optimized,
-    PassEdit, PassKind, Profile, TraceSelectConfig,
+    build_ssa, optimize, select_traces, OptimizeConfig, Optimized, PassEdit, PassKind, Profile,
+    TraceSelectConfig,
 };
-use fetchmech::isa::{BlockId, CfgView, DynInst, Inst, Layout, LayoutOptions};
-use fetchmech::json::{diagnostics_json, Value};
+use fetchmech::experiments::{ExpConfig, Lab, LayoutVariant};
+use fetchmech::isa::{BlockId, CfgView, Inst, Layout, LayoutOptions};
+use fetchmech::json::{diagnostics_value, Value};
 use fetchmech::pipeline::MachineModel;
 use fetchmech::runner::Runner;
 use fetchmech::workloads::{suite, InputId, Workload, WorkloadSpec};
 use fetchmech::{simulate, SchemeKind};
 use fetchmech_analysis::sanitize::{self_test, RULES};
 use fetchmech_analysis::{
-    analyze_geometry, check_ssa, dataflow, eir_delta, report_human, verify_optimized, Diagnostic,
-    DiagnosticSink, Registry, SanitizeConfig, Severity, Target, OPT_RULES,
+    analyze_geometry, check_ssa, dataflow, eir_delta, has_errors, report_human, verify_optimized,
+    Diagnostic, DiagnosticSink, Registry, SanitizeConfig, Severity, Target, OPT_RULES,
 };
 use fetchmech_frontend::Format;
 
@@ -160,6 +164,17 @@ impl CommonFlags {
         }
         Ok(true)
     }
+
+    fn keeps(&self, rule: &str) -> bool {
+        !self.disabled.iter().any(|d| d == rule)
+    }
+
+    /// Runs `f` over every benchmark against one shared lab, fanned out on
+    /// the `--threads` pool; results come back in argument order.
+    fn run_suite<R: Send>(&self, names: &[String], f: impl Fn(&str, &Lab) -> R + Sync) -> Vec<R> {
+        let lab = cli_lab(self.insts, Runner::from_flag_or_env(self.threads));
+        lab.runner().run(names, |name| f(name, &lab))
+    }
 }
 
 /// The full suite, for subcommands that default to it.
@@ -171,21 +186,105 @@ fn default_suite() -> Vec<String> {
         .collect()
 }
 
-/// The shared `diagnostics` JSON field.
-fn diagnostics_value(diags: &[Diagnostic]) -> Value {
-    Value::Array(
-        diags
-            .iter()
-            .map(|d| {
-                Value::object([
-                    ("rule_id", Value::Str(d.rule_id.to_string())),
-                    ("severity", Value::Str(d.severity.to_string())),
-                    ("location", Value::Str(d.location.to_string())),
-                    ("message", Value::Str(d.message.clone())),
-                ])
-            })
-            .collect(),
-    )
+/// The lab every suite subcommand draws its artifacts from: profiles and
+/// test-input traces are both `insts` instructions long.
+fn cli_lab(insts: u64, runner: Runner) -> Lab {
+    let cfg = ExpConfig {
+        trace_len: insts,
+        profile_len: insts,
+    };
+    Lab::with_runner(cfg, runner)
+}
+
+/// Resolves a command-line benchmark name to the lab's interned name.
+fn resolve(lab: &Lab, name: &str) -> Result<&'static str, String> {
+    lab.intern_name(name)
+        .ok_or_else(|| format!("unknown benchmark {name}"))
+}
+
+/// Reports a usage error; exit status 2.
+fn usage_error(message: &str) -> ExitCode {
+    eprintln!("fetchmech-lint: {message}");
+    ExitCode::from(2)
+}
+
+/// Unwraps a subcommand's parsed options: `Ok(None)` (`--help` or `--list`
+/// already printed) exits 0, a parse error prints the usage and exits 2.
+fn parsed<T>(result: Result<Option<T>, String>, usage: &str) -> Result<T, ExitCode> {
+    match result {
+        Ok(Some(opts)) => Ok(opts),
+        Ok(None) => Err(ExitCode::SUCCESS),
+        Err(e) => {
+            let code = usage_error(&e);
+            eprintln!("{usage}");
+            Err(code)
+        }
+    }
+}
+
+/// Exits 2 on the first id (a `--pass` name or `--disable` rule) that
+/// `known` rejects.
+fn check_ids(
+    ids: &[String],
+    known: impl Fn(&str) -> bool,
+    what: &str,
+    hint: &str,
+) -> Result<(), ExitCode> {
+    match ids.iter().find(|id| !known(id)) {
+        Some(id) => Err(usage_error(&format!("unknown {what} {id} (see {hint})"))),
+        None => Ok(()),
+    }
+}
+
+/// Exit status 1 if `failed`, else 0.
+fn exit_status(failed: bool) -> ExitCode {
+    ExitCode::from(u8::from(failed))
+}
+
+/// Prints a self-test's findings. Findings are expected: exit status 1
+/// proves the checker still catches the injected corruption.
+fn self_test_report(diags: &[Diagnostic]) -> ExitCode {
+    print!("{}", report_human(diags));
+    exit_status(has_errors(diags))
+}
+
+/// Shared tail of the diagnostics-only modes (the default lint and
+/// `sanitize`): a per-benchmark summary, or one JSON array of every
+/// finding. Fails if any benchmark failed or any finding is at least as
+/// severe as `fail_at`.
+fn diagnostics_main(
+    names: &[String],
+    results: Vec<Result<Vec<Diagnostic>, String>>,
+    json: bool,
+    fail_at: Severity,
+) -> ExitCode {
+    let mut all = Vec::new();
+    let mut failed = false;
+    for (name, result) in names.iter().zip(results) {
+        match result {
+            Ok(diags) => {
+                if !json {
+                    let errors = diags
+                        .iter()
+                        .filter(|d| d.severity == Severity::Error)
+                        .count();
+                    println!("{name}: {} finding(s), {errors} error(s)", diags.len());
+                    if !diags.is_empty() {
+                        print!("{}", report_human(&diags));
+                    }
+                }
+                all.extend(diags);
+            }
+            Err(e) => {
+                eprintln!("fetchmech-lint: {e}");
+                failed = true;
+            }
+        }
+    }
+    if json {
+        println!("{}", diagnostics_value(&all).pretty());
+    }
+    exit_status(failed || all.iter().any(|d| d.severity >= fail_at))
 }
 
 struct Options {
@@ -194,7 +293,9 @@ struct Options {
     passes: Vec<String>,
     disabled: Vec<String>,
     insts: u64,
-    deny_warnings: bool,
+    /// The least severe finding that fails the run (`--deny-warnings`
+    /// lowers it to warnings).
+    fail_at: Severity,
 }
 
 fn usage() -> &'static str {
@@ -219,13 +320,13 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         passes: Vec::new(),
         disabled: Vec::new(),
         insts: 20_000,
-        deny_warnings: false,
+        fail_at: Severity::Error,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--json" => opts.json = true,
-            "--deny-warnings" => opts.deny_warnings = true,
+            "--deny-warnings" => opts.fail_at = Severity::Warning,
             "--list" | "--list-passes" => {
                 list_passes();
                 return Ok(None);
@@ -253,54 +354,33 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         }
     }
     if opts.benchmarks.is_empty() {
-        opts.benchmarks = suite::INT_NAMES
-            .iter()
-            .chain(suite::FP_NAMES.iter())
-            .map(ToString::to_string)
-            .collect();
+        opts.benchmarks = default_suite();
     }
     Ok(Some(opts))
 }
 
 fn lint_benchmark(
     name: &str,
+    lab: &Lab,
     opts: &Options,
     registry: &Registry,
 ) -> Result<Vec<Diagnostic>, String> {
-    let w = suite::benchmark(name).ok_or_else(|| format!("unknown benchmark {name}"))?;
-    let profile = Profile::collect(&w, &InputId::PROFILE, opts.insts);
+    let name = resolve(lab, name)?;
+    let w = lab.bench(name);
+    let profile = lab.profile(name);
     let config = TraceSelectConfig::default();
     let traces = select_traces(&w.program, &profile, &config);
-    let reordered = reorder(&w.program, &profile, &config);
-    let natural = Layout::natural(&w.program, LayoutOptions::new(BLOCK_BYTES))
-        .map_err(|e| format!("{name}: natural layout failed: {e}"))?;
-    let pad_all = layout_pad_all(&w.program, BLOCK_BYTES)
-        .map_err(|e| format!("{name}: pad-all layout failed: {e}"))?;
-    let opt_layout = reordered
-        .layout(BLOCK_BYTES)
-        .map_err(|e| format!("{name}: reordered layout failed: {e}"))?;
-    let pad_trace = reordered
-        .layout_pad_trace(BLOCK_BYTES)
-        .map_err(|e| format!("{name}: pad-trace layout failed: {e}"))?;
+    let reordered = lab.reordered(name);
+    // Each variant's layout with the program it lays out.
+    let laid =
+        LayoutVariant::ALL.map(|v| (lab.workload(name, v), lab.layout(name, v, BLOCK_BYTES)));
 
-    let targets = [
-        Target::Program(&w.program),
-        Target::Layout {
-            program: &w.program,
-            layout: &natural,
-        },
-        Target::Layout {
-            program: &w.program,
-            layout: &pad_all,
-        },
-        Target::Layout {
-            program: &reordered.program,
-            layout: &opt_layout,
-        },
-        Target::Layout {
-            program: &reordered.program,
-            layout: &pad_trace,
-        },
+    let mut targets = vec![Target::Program(&w.program)];
+    targets.extend(laid.iter().map(|(exec, layout)| Target::Layout {
+        program: &exec.program,
+        layout,
+    }));
+    targets.extend([
         Target::Profile {
             program: &w.program,
             profile: &profile,
@@ -315,11 +395,11 @@ fn lint_benchmark(
             reordered: &reordered,
         },
         Target::TraceDiff {
-            workload: &w,
+            workload: w,
             reordered: &reordered,
             insts: opts.insts,
         },
-    ];
+    ]);
     let keep = |pass: &str| opts.passes.is_empty() || opts.passes.iter().any(|p| p == pass);
     let mut diags = Vec::new();
     for target in &targets {
@@ -363,43 +443,10 @@ const ANALYSES: &[(&str, &str)] = &[
     ),
 ];
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum LayoutKind {
-    Natural,
-    PadAll,
-    Reordered,
-    PadTrace,
-}
-
-impl LayoutKind {
-    fn parse(s: &str) -> Option<Self> {
-        match s {
-            "natural" => Some(Self::Natural),
-            "pad-all" => Some(Self::PadAll),
-            "reordered" => Some(Self::Reordered),
-            "pad-trace" => Some(Self::PadTrace),
-            _ => None,
-        }
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            Self::Natural => "natural",
-            Self::PadAll => "pad-all",
-            Self::Reordered => "reordered",
-            Self::PadTrace => "pad-trace",
-        }
-    }
-
-    fn needs_reorder(self) -> bool {
-        matches!(self, Self::Reordered | Self::PadTrace)
-    }
-}
-
 struct AnalyzeOptions {
     benchmarks: Vec<String>,
     common: CommonFlags,
-    layout: LayoutKind,
+    layout: LayoutVariant,
     analyses: Vec<String>,
     measured: bool,
 }
@@ -427,7 +474,7 @@ fn parse_analyze_args(args: &[String]) -> Result<Option<AnalyzeOptions>, String>
     let mut opts = AnalyzeOptions {
         benchmarks: Vec::new(),
         common: CommonFlags::new(),
-        layout: LayoutKind::Natural,
+        layout: LayoutVariant::Natural,
         analyses: Vec::new(),
         measured: false,
     };
@@ -444,8 +491,9 @@ fn parse_analyze_args(args: &[String]) -> Result<Option<AnalyzeOptions>, String>
             }
             "--layout" => {
                 let kind = it.next().ok_or("--layout needs a layout kind")?;
-                opts.layout =
-                    LayoutKind::parse(kind).ok_or_else(|| format!("unknown layout kind {kind}"))?;
+                opts.layout = kind
+                    .parse()
+                    .map_err(|_| format!("unknown layout kind {kind}"))?;
             }
             "--analysis" => {
                 let name = it.next().ok_or("--analysis needs an analysis name")?;
@@ -480,29 +528,20 @@ struct AnalyzeReport {
 }
 
 #[allow(clippy::too_many_lines)] // one linear section per analysis selector
-fn analyze_benchmark(name: &str, opts: &AnalyzeOptions) -> Result<AnalyzeReport, String> {
-    let w = suite::benchmark(name).ok_or_else(|| format!("unknown benchmark {name}"))?;
+fn analyze_benchmark(
+    name: &str,
+    lab: &Lab,
+    opts: &AnalyzeOptions,
+) -> Result<AnalyzeReport, String> {
+    let name = resolve(lab, name)?;
     let block_bytes = opts.common.machine.block_bytes;
     let config = TraceSelectConfig::default();
-    // A profile feeds both the reordered layout variants and the
-    // profile-flow / trace-seed lints under `reach`.
-    let profile = (opts.wants("reach") || opts.layout.needs_reorder())
-        .then(|| Profile::collect(&w, &InputId::PROFILE, opts.common.insts));
-    let reordered = opts
-        .layout
-        .needs_reorder()
-        .then(|| reorder(&w.program, profile.as_ref().expect("profile"), &config));
-    let program = reordered.as_ref().map_or(&w.program, |r| &r.program);
-    let layout = match opts.layout {
-        LayoutKind::Natural => Layout::natural(program, LayoutOptions::new(block_bytes)),
-        LayoutKind::PadAll => layout_pad_all(program, block_bytes),
-        LayoutKind::Reordered => reordered.as_ref().expect("reordered").layout(block_bytes),
-        LayoutKind::PadTrace => reordered
-            .as_ref()
-            .expect("reordered")
-            .layout_pad_trace(block_bytes),
-    }
-    .map_err(|e| format!("{name}: {} layout failed: {e}", opts.layout.name()))?;
+    // The program the chosen layout lays out (the reordered one for the
+    // reordered variants), plus the profile the `reach` lints check.
+    let exec = lab.workload(name, opts.layout);
+    let program = &exec.program;
+    let layout = lab.layout(name, opts.layout, block_bytes);
+    let profile = opts.wants("reach").then(|| lab.profile(name));
 
     let mut human = format!(
         "{name} [{}, {}]:\n",
@@ -660,21 +699,7 @@ fn analyze_benchmark(name: &str, opts: &AnalyzeOptions) -> Result<AnalyzeReport,
         if opts.measured {
             // Execute the workload against this layout and check every
             // measured EIR against its static upper bound.
-            let exec_w;
-            let exec = if let Some(r) = &reordered {
-                exec_w = Workload {
-                    spec: w.spec.clone(),
-                    program: r.program.clone(),
-                    behaviors: w.behaviors.clone(),
-                };
-                &exec_w
-            } else {
-                &w
-            };
-            let trace: Arc<[DynInst]> = exec
-                .executor(&layout, InputId::TEST, opts.common.insts)
-                .collect::<Vec<_>>()
-                .into();
+            let trace = lab.test_trace(name, opts.layout, block_bytes);
             let mut eirs = Vec::new();
             let mut measured = Vec::new();
             for scheme in SchemeKind::ALL {
@@ -707,7 +732,7 @@ fn analyze_benchmark(name: &str, opts: &AnalyzeOptions) -> Result<AnalyzeReport,
 
     let mut diags = sink.into_diagnostics();
     diags.extend(extra);
-    diags.retain(|d| !opts.common.disabled.iter().any(|r| r == d.rule_id));
+    diags.retain(|d| opts.common.keeps(d.rule_id));
     fields.push(("diagnostics", diagnostics_value(&diags)));
     Ok(AnalyzeReport {
         human,
@@ -726,7 +751,7 @@ fn report_main(results: Vec<Result<AnalyzeReport, String>>, json: bool) -> ExitC
     for result in results {
         match result {
             Ok(report) => {
-                any_error |= fetchmech_analysis::has_errors(&report.diags);
+                any_error |= has_errors(&report.diags);
                 if json {
                     objects.push(report.json);
                 } else {
@@ -745,33 +770,22 @@ fn report_main(results: Vec<Result<AnalyzeReport, String>>, json: bool) -> ExitC
     if json {
         println!("{}", Value::Array(objects).pretty());
     }
-    if failed || any_error {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    exit_status(failed || any_error)
 }
 
-fn analyze_main(args: &[String]) -> ExitCode {
-    let opts = match parse_analyze_args(args) {
-        Ok(Some(opts)) => opts,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("fetchmech-lint: {e}");
-            eprintln!("{}", analyze_usage());
-            return ExitCode::from(2);
-        }
-    };
-    for rule in &opts.common.disabled {
-        if !rule_id_known(rule) {
-            eprintln!("fetchmech-lint: unknown rule {rule} (see --list / sanitize --list)");
-            return ExitCode::from(2);
-        }
-    }
+fn analyze_main(args: &[String]) -> Result<ExitCode, ExitCode> {
+    let opts = parsed(parse_analyze_args(args), analyze_usage())?;
+    check_ids(
+        &opts.common.disabled,
+        rule_id_known,
+        "rule",
+        "--list / sanitize --list",
+    )?;
     // Benchmarks are independent: fan out, then report in suite order.
-    let runner = Runner::from_flag_or_env(opts.common.threads);
-    let results = runner.run(&opts.benchmarks, |name| analyze_benchmark(name, &opts));
-    report_main(results, opts.common.json)
+    let results = opts.common.run_suite(&opts.benchmarks, |name, lab| {
+        analyze_benchmark(name, lab, &opts)
+    });
+    Ok(report_main(results, opts.common.json))
 }
 
 // ---------------------------------------------------------------------------
@@ -913,9 +927,10 @@ fn pass_summaries(optimized: &Optimized) -> Vec<(String, Value)> {
         .collect()
 }
 
-fn opt_benchmark(name: &str, opts: &OptOptions) -> Result<AnalyzeReport, String> {
-    let w = suite::benchmark(name).ok_or_else(|| format!("unknown benchmark {name}"))?;
-    let profile = Profile::collect(&w, &InputId::PROFILE, opts.common.insts);
+fn opt_benchmark(name: &str, lab: &Lab, opts: &OptOptions) -> Result<AnalyzeReport, String> {
+    let name = resolve(lab, name)?;
+    let w = lab.bench(name);
+    let profile = lab.profile(name);
     let optimized = optimize(
         &w.program,
         &profile,
@@ -924,7 +939,8 @@ fn opt_benchmark(name: &str, opts: &OptOptions) -> Result<AnalyzeReport, String>
     );
     // Re-profile the *optimized* program (branch behaviors aliased back to
     // their origins) so duplicated paths get their true original/copy flow
-    // split instead of the projected double-count.
+    // split instead of the projected double-count. The lab does not hold
+    // optimized programs, so this profile is collected here.
     let w_after = Workload {
         spec: w.spec.clone(),
         program: optimized.program.clone(),
@@ -1011,8 +1027,8 @@ fn opt_benchmark(name: &str, opts: &OptOptions) -> Result<AnalyzeReport, String>
 
     let mut diags = Vec::new();
     if opts.verify {
-        diags = verify_optimized(&w, &profile, &optimized, opts.common.insts);
-        diags.retain(|d| !opts.common.disabled.iter().any(|r| r == d.rule_id));
+        diags = verify_optimized(w, &profile, &optimized, opts.common.insts);
+        diags.retain(|d| opts.common.keeps(d.rule_id));
     }
     fields.push(("diagnostics", diagnostics_value(&diags)));
     Ok(AnalyzeReport {
@@ -1026,8 +1042,9 @@ fn opt_benchmark(name: &str, opts: &OptOptions) -> Result<AnalyzeReport, String>
 /// still rejects it: findings are EXPECTED and exit status 1 proves the
 /// gate is live (mirrors `sanitize --self-test`).
 fn opt_self_test() -> ExitCode {
-    let w = suite::benchmark("compress").expect("compress is a suite benchmark");
-    let profile = Profile::collect(&w, &InputId::PROFILE, 20_000);
+    let lab = cli_lab(20_000, Runner::new(1));
+    let w = lab.bench("compress");
+    let profile = lab.profile("compress");
     let mut optimized = optimize(
         &w.program,
         &profile,
@@ -1042,37 +1059,19 @@ fn opt_self_test() -> ExitCode {
     let mut edit = app.after.edit();
     edit.insts_mut(BlockId(0)).push(Inst::nop());
     app.after = edit.finish().expect("a nop keeps the program valid");
-    let diags = verify_optimized(&w, &profile, &optimized, 4_000);
-    print!("{}", report_human(&diags));
-    if fetchmech_analysis::has_errors(&diags) {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    self_test_report(&verify_optimized(w, &profile, &optimized, 4_000))
 }
 
-fn opt_main(args: &[String]) -> ExitCode {
+fn opt_main(args: &[String]) -> Result<ExitCode, ExitCode> {
     if args.iter().any(|a| a == "--self-test") {
-        return opt_self_test();
+        return Ok(opt_self_test());
     }
-    let opts = match parse_opt_args(args) {
-        Ok(Some(opts)) => opts,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("fetchmech-lint: {e}");
-            eprintln!("{}", opt_usage());
-            return ExitCode::from(2);
-        }
-    };
-    for rule in &opts.common.disabled {
-        if !rule_id_known(rule) {
-            eprintln!("fetchmech-lint: unknown rule {rule} (see opt --list)");
-            return ExitCode::from(2);
-        }
-    }
-    let runner = Runner::from_flag_or_env(opts.common.threads);
-    let results = runner.run(&opts.benchmarks, |name| opt_benchmark(name, &opts));
-    report_main(results, opts.common.json)
+    let opts = parsed(parse_opt_args(args), opt_usage())?;
+    check_ids(&opts.common.disabled, rule_id_known, "rule", "opt --list")?;
+    let results = opts.common.run_suite(&opts.benchmarks, |name, lab| {
+        opt_benchmark(name, lab, &opts)
+    });
+    Ok(report_main(results, opts.common.json))
 }
 
 // ---------------------------------------------------------------------------
@@ -1082,20 +1081,6 @@ fn opt_main(args: &[String]) -> ExitCode {
 struct SanOptions {
     benchmarks: Vec<String>,
     common: CommonFlags,
-}
-
-impl SanOptions {
-    fn config(&self) -> SanitizeConfig {
-        let mut cfg = SanitizeConfig::new();
-        for rule in &self.common.disabled {
-            cfg.disable(rule.clone());
-        }
-        cfg
-    }
-
-    fn keeps(&self, rule: &str) -> bool {
-        !self.common.disabled.iter().any(|d| d == rule)
-    }
 }
 
 fn sanitize_usage() -> &'static str {
@@ -1142,97 +1127,60 @@ fn parse_sanitize_args(args: &[String]) -> Result<Option<SanOptions>, String> {
     Ok(Some(opts))
 }
 
-fn sanitize_benchmark(name: &str, opts: &SanOptions) -> Result<Vec<Diagnostic>, String> {
+fn sanitize_benchmark(name: &str, lab: &Lab, opts: &SanOptions) -> Result<Vec<Diagnostic>, String> {
     let machine = &opts.common.machine;
-    let w = suite::benchmark(name).ok_or_else(|| format!("unknown benchmark {name}"))?;
-    let layout = Layout::natural(&w.program, LayoutOptions::new(machine.block_bytes))
-        .map_err(|e| format!("{name}: natural layout failed: {e}"))?;
-    let trace: Arc<[DynInst]> = w
-        .executor(&layout, InputId::TEST, opts.common.insts)
-        .collect::<Vec<_>>()
-        .into();
+    let name = resolve(lab, name)?;
+    let natural = LayoutVariant::Natural;
+    let layout = lab.layout(name, natural, machine.block_bytes);
+    let trace = lab.test_trace(name, natural, machine.block_bytes);
+    let mut cfg = SanitizeConfig::new();
+    for rule in &opts.common.disabled {
+        cfg.disable(rule.clone());
+    }
     let mut diags = Vec::new();
     // Full pipeline under the sanitizer, once per scheme.
     for scheme in SchemeKind::ALL {
         let (_result, d) =
-            fetchmech::sanitize::simulate_checked_with(machine, scheme, &trace, opts.config());
+            fetchmech::sanitize::simulate_checked_with(machine, scheme, &trace, cfg.clone());
         diags.extend(d);
     }
     // Fetch-only differential harness + cross-scheme dominance, sharing the
     // same zero-copy trace.
     let (eirs, d) = fetchmech::sanitize::check_dominance(machine, name, &trace);
-    diags.extend(d.into_iter().filter(|d| opts.keeps(d.rule_id)));
+    diags.extend(d.into_iter().filter(|d| opts.common.keeps(d.rule_id)));
     // Static fetch-geometry upper bound: the measured EIRs must stay under
     // what the program + layout + machine alone permit.
-    let d = fetchmech::sanitize::verify_static_bound(machine, name, &w.program, &layout, &eirs);
-    diags.extend(d.into_iter().filter(|d| opts.keeps(d.rule_id)));
+    let program = &lab.bench(name).program;
+    let d = fetchmech::sanitize::verify_static_bound(machine, name, program, &layout, &eirs);
+    diags.extend(d.into_iter().filter(|d| opts.common.keeps(d.rule_id)));
     Ok(diags)
 }
 
-fn sanitize_main(args: &[String]) -> ExitCode {
+fn sanitize_main(args: &[String]) -> Result<ExitCode, ExitCode> {
     if args.iter().any(|a| a == "--self-test") {
         // Corrupted-by-construction event streams: findings mean the engine
         // still catches what it claims to, and the exit status reports them
         // like any other run (nonzero — the CLI test asserts exactly that).
-        let diags = self_test();
-        print!("{}", report_human(&diags));
-        return if fetchmech_analysis::has_errors(&diags) {
-            ExitCode::FAILURE
-        } else {
-            ExitCode::SUCCESS
-        };
+        return Ok(self_test_report(&self_test()));
     }
-    let opts = match parse_sanitize_args(args) {
-        Ok(Some(opts)) => opts,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("fetchmech-lint: {e}");
-            eprintln!("{}", sanitize_usage());
-            return ExitCode::from(2);
-        }
-    };
-    let known: Vec<&str> = RULES.iter().map(|(rule, _)| *rule).collect();
-    for rule in &opts.common.disabled {
-        if !known.contains(&rule.as_str()) {
-            eprintln!("fetchmech-lint: unknown sanitizer rule {rule} (see sanitize --list)");
-            return ExitCode::from(2);
-        }
-    }
-    // Benchmarks are independent: fan out on the worker pool, then report
-    // in suite order so output (and the JSON array) stays deterministic.
-    let runner = Runner::from_flag_or_env(opts.common.threads);
-    let results = runner.run(&opts.benchmarks, |name| sanitize_benchmark(name, &opts));
-    let mut all = Vec::new();
-    let mut failed = false;
-    for (name, result) in opts.benchmarks.iter().zip(results) {
-        match result {
-            Ok(diags) => {
-                if !opts.common.json {
-                    let errors = diags
-                        .iter()
-                        .filter(|d| d.severity == Severity::Error)
-                        .count();
-                    println!("{name}: {} finding(s), {errors} error(s)", diags.len());
-                    if !diags.is_empty() {
-                        print!("{}", report_human(&diags));
-                    }
-                }
-                all.extend(diags);
-            }
-            Err(e) => {
-                eprintln!("fetchmech-lint: {e}");
-                failed = true;
-            }
-        }
-    }
-    if opts.common.json {
-        println!("{}", diagnostics_json(&all));
-    }
-    if failed || all.iter().any(|d| d.severity == Severity::Error) {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    let opts = parsed(parse_sanitize_args(args), sanitize_usage())?;
+    check_ids(
+        &opts.common.disabled,
+        |rule| RULES.iter().any(|(r, _)| *r == rule),
+        "sanitizer rule",
+        "sanitize --list",
+    )?;
+    // Benchmarks are independent: fan out, then report in argument order so
+    // output (and the JSON array) stays deterministic.
+    let results = opts.common.run_suite(&opts.benchmarks, |name, lab| {
+        sanitize_benchmark(name, lab, &opts)
+    });
+    Ok(diagnostics_main(
+        &opts.benchmarks,
+        results,
+        opts.common.json,
+        Severity::Error,
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -1305,26 +1253,18 @@ fn parse_frontend_args(args: &[String]) -> Result<Option<FrontendOptions>, Strin
     Ok(Some(opts))
 }
 
-/// FNV-1a over a program id — the same seed derivation the experiment
-/// registry uses, so CLI traces match serve-side traces for the same id.
-fn fnv64(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn frontend_file(path: &str, opts: &FrontendOptions) -> Result<AnalyzeReport, String> {
     let format = Format::for_path(path).expect("extension validated at parse time");
     let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let lowered = fetchmech_frontend::parse(format, &src).map_err(|e| format!("{path}: {e}"))?;
     let machine = &opts.common.machine;
     let id = format!("prog-{:016x}", lowered.fingerprint());
+    // A standalone workload, not a lab registration: the lab caps how many
+    // external programs it holds, and one run may take any number of files.
+    // `WorkloadSpec::external` seeds it exactly as the lab would.
     let name: &'static str = Box::leak(id.clone().into_boxed_str());
     let w = Workload {
-        spec: WorkloadSpec::external(name, fnv64(name)),
+        spec: WorkloadSpec::external(name),
         program: lowered.program.clone(),
         behaviors: lowered.behaviors.clone(),
     };
@@ -1390,12 +1330,10 @@ fn frontend_file(path: &str, opts: &FrontendOptions) -> Result<AnalyzeReport, St
             w.program.num_blocks(),
             optimized.program.num_blocks()
         );
+        let stream = Arc::new(w.block_stream(&layout, InputId::TEST, opts.common.insts));
         let mut schemes = Vec::new();
         for scheme in SchemeKind::ALL {
-            let trace: Vec<DynInst> = w
-                .executor(&layout, InputId::TEST, opts.common.insts)
-                .collect();
-            let r = simulate(machine, scheme, trace);
+            let r = simulate(machine, scheme, &stream);
             if r.retired == 0 {
                 return Err(format!("{path}: {} retired no instructions", scheme.name()));
             }
@@ -1414,7 +1352,7 @@ fn frontend_file(path: &str, opts: &FrontendOptions) -> Result<AnalyzeReport, St
         fields.push(("dump", Value::Str(text)));
     }
 
-    diags.retain(|d| !opts.common.disabled.iter().any(|r| r == d.rule_id));
+    diags.retain(|d| opts.common.keeps(d.rule_id));
     fields.push(("diagnostics", diagnostics_value(&diags)));
     Ok(AnalyzeReport {
         human,
@@ -1423,101 +1361,55 @@ fn frontend_file(path: &str, opts: &FrontendOptions) -> Result<AnalyzeReport, St
     })
 }
 
-fn frontend_main(args: &[String]) -> ExitCode {
-    let opts = match parse_frontend_args(args) {
-        Ok(Some(opts)) => opts,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("fetchmech-lint: {e}");
-            eprintln!("{}", frontend_usage());
-            return ExitCode::from(2);
-        }
-    };
-    for rule in &opts.common.disabled {
-        if !rule_id_known(rule) {
-            eprintln!("fetchmech-lint: unknown rule {rule} (see --list)");
-            return ExitCode::from(2);
-        }
-    }
+fn frontend_main(args: &[String]) -> Result<ExitCode, ExitCode> {
+    let opts = parsed(parse_frontend_args(args), frontend_usage())?;
+    check_ids(&opts.common.disabled, rule_id_known, "rule", "--list")?;
     // Files are independent: fan out like the benchmark subcommands do.
     let runner = Runner::from_flag_or_env(opts.common.threads);
     let results = runner.run(&opts.files, |path| frontend_file(path, &opts));
-    report_main(results, opts.common.json)
+    Ok(report_main(results, opts.common.json))
+}
+
+/// The default mode: every registered pass over each suite artifact.
+fn lint_main(args: &[String]) -> Result<ExitCode, ExitCode> {
+    let opts = parsed(parse_args(args), usage())?;
+    let registry = Registry::with_default_passes();
+    let passes = registry.passes();
+    check_ids(
+        &opts.passes,
+        |name| passes.iter().any(|p| p.name() == name),
+        "pass",
+        "--list-passes",
+    )?;
+    check_ids(
+        &opts.disabled,
+        |rule| passes.iter().any(|p| p.rules().contains(&rule)),
+        "rule",
+        "--list",
+    )?;
+    // One benchmark at a time: the default mode has no `--threads`.
+    let lab = cli_lab(opts.insts, Runner::new(1));
+    let results = opts
+        .benchmarks
+        .iter()
+        .map(|name| lint_benchmark(name, &lab, &opts, &registry))
+        .collect();
+    Ok(diagnostics_main(
+        &opts.benchmarks,
+        results,
+        opts.json,
+        opts.fail_at,
+    ))
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("sanitize") {
-        return sanitize_main(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("analyze") {
-        return analyze_main(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("opt") {
-        return opt_main(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("frontend") {
-        return frontend_main(&args[1..]);
-    }
-    let opts = match parse_args(&args) {
-        Ok(Some(opts)) => opts,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("fetchmech-lint: {e}");
-            eprintln!("{}", usage());
-            return ExitCode::from(2);
-        }
+    let result = match args.first().map(String::as_str) {
+        Some("sanitize") => sanitize_main(&args[1..]),
+        Some("analyze") => analyze_main(&args[1..]),
+        Some("opt") => opt_main(&args[1..]),
+        Some("frontend") => frontend_main(&args[1..]),
+        _ => lint_main(&args),
     };
-
-    let registry = Registry::with_default_passes();
-    for name in &opts.passes {
-        if !registry.passes().iter().any(|p| p.name() == name) {
-            eprintln!("fetchmech-lint: unknown pass {name} (see --list-passes)");
-            return ExitCode::from(2);
-        }
-    }
-    for rule in &opts.disabled {
-        let known = registry
-            .passes()
-            .iter()
-            .any(|p| p.rules().iter().any(|r| r == rule));
-        if !known {
-            eprintln!("fetchmech-lint: unknown rule {rule} (see --list)");
-            return ExitCode::from(2);
-        }
-    }
-    let mut all = Vec::new();
-    let mut failed = false;
-    for name in &opts.benchmarks {
-        match lint_benchmark(name, &opts, &registry) {
-            Ok(diags) => {
-                if !opts.json {
-                    let errors = diags
-                        .iter()
-                        .filter(|d| d.severity == Severity::Error)
-                        .count();
-                    println!("{name}: {} finding(s), {errors} error(s)", diags.len());
-                    if !diags.is_empty() {
-                        print!("{}", report_human(&diags));
-                    }
-                }
-                all.extend(diags);
-            }
-            Err(e) => {
-                eprintln!("fetchmech-lint: {e}");
-                failed = true;
-            }
-        }
-    }
-    if opts.json {
-        println!("{}", diagnostics_json(&all));
-    }
-    let bad = all.iter().any(|d| {
-        d.severity == Severity::Error || (opts.deny_warnings && d.severity == Severity::Warning)
-    });
-    if failed || bad {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    result.unwrap_or_else(|code| code)
 }

@@ -22,6 +22,8 @@
 
 use std::io::ErrorKind;
 
+use fetchmech::isa::{fnv1a64_extend, FNV_OFFSET};
+
 /// Environment variable holding the fault-schedule seed (`u64`).
 pub const FAULT_SEED_ENV: &str = "FETCHMECH_FAULT_SEED";
 
@@ -183,25 +185,14 @@ impl FaultPlan {
     /// The decision hash for `(seed, domain, tag, attempt)`.
     fn roll(&self, domain: Domain, tag: &[u8], attempt: u32) -> u64 {
         let mut h = FNV_OFFSET ^ self.seed;
-        h = fnv_step(h, &[domain as u8]);
-        h = fnv_step(h, tag);
-        h = fnv_step(h, &attempt.to_le_bytes());
+        h = fnv1a64_extend(h, &[domain as u8]);
+        h = fnv1a64_extend(h, tag);
+        h = fnv1a64_extend(h, &attempt.to_le_bytes());
         // One final avalanche so low rates still see well-mixed high bits.
         h ^= h >> 33;
         h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
         h ^ (h >> 33)
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_step(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 /// Whether a decision hash fires at `rate` (compares the hash's top 53 bits

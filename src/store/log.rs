@@ -24,6 +24,8 @@ use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufReader, Read};
 
+use fetchmech::isa::{fnv1a64_extend, FNV_OFFSET};
+
 /// Per-record magic ("FMS1" — fetchmech store, format 1).
 pub(crate) const MAGIC: u32 = 0x464d_5331;
 
@@ -39,14 +41,9 @@ pub(crate) const MAX_BODY_BYTES: u32 = 16 * 1024 * 1024;
 /// FNV-1a 64 over the concatenation of `parts`.
 #[must_use]
 pub(crate) fn checksum(parts: &[&[u8]]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for part in parts {
-        for &b in *part {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    parts
+        .iter()
+        .fold(FNV_OFFSET, |h, part| fnv1a64_extend(h, part))
 }
 
 /// Serializes one record (header + payload) into a contiguous buffer, so the
@@ -177,6 +174,15 @@ mod tests {
         }
         f.seek(SeekFrom::Start(0)).expect("rewind");
         f
+    }
+
+    #[test]
+    fn checksum_is_pinned_fnv1a64() {
+        // Logs written by earlier builds must keep opening.
+        assert_eq!(
+            checksum(&[b"sim:key", b"{\"body\":1}"]),
+            0x4e22_2db3_8c3e_54a6
+        );
     }
 
     #[test]

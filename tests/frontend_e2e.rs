@@ -51,7 +51,10 @@ const INSTS: u64 = 4_000;
 fn workload(name: &'static str, format: Format, src: &str) -> Workload {
     let lowered = parse(format, src).unwrap_or_else(|e| panic!("{name}: {e}"));
     Workload {
-        spec: WorkloadSpec::external(name, 0x5eed ^ name.len() as u64),
+        spec: WorkloadSpec {
+            seed: 0x5eed ^ name.len() as u64,
+            ..WorkloadSpec::external(name)
+        },
         program: lowered.program,
         behaviors: lowered.behaviors,
     }

@@ -8,6 +8,7 @@
 
 use std::process::{Command, Output};
 
+use fetchmech::json::{parse, Value};
 use fetchmech_analysis::sanitize::RULES;
 use fetchmech_analysis::OPT_RULES;
 
@@ -120,6 +121,21 @@ fn analyze_disable_rejects_unknown_rule() {
     let out = lint(&["analyze", "--disable", "no.such.rule", "compress"]);
     assert_eq!(exit_code(&out), 2);
     assert!(String::from_utf8_lossy(&out.stderr).contains("no.such.rule"));
+}
+
+#[test]
+fn analyze_measures_every_layout_variant() {
+    for layout in ["natural", "pad-all", "reordered", "pad-trace"] {
+        let args = format!("analyze --layout {layout} --measured --insts 2000 --json compress");
+        let out = lint(&args.split(' ').collect::<Vec<_>>());
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(exit_code(&out), 0, "{layout}:\n{stdout}");
+        let reports = parse(&stdout).expect("analyze --json emits JSON");
+        let report = &reports.as_array().expect("an array")[0];
+        assert_eq!(report.get("layout").and_then(Value::as_str), Some(layout));
+        let measured = report.get("measured").and_then(Value::as_array);
+        assert_eq!(measured.map(<[Value]>::len), Some(5), "{layout}:\n{stdout}");
+    }
 }
 
 #[test]
