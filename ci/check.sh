@@ -67,6 +67,9 @@ if [ -z "$report_out" ]; then
     exit 1
 fi
 
+echo "==> custom_assembly example (hand-written Bril -> frontend -> block stream -> simulate)"
+cargo run --release --offline -q --example custom_assembly >/dev/null
+
 echo "==> cargo doc --workspace --no-deps (warnings fatal)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 

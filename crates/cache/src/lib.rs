@@ -130,18 +130,6 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-impl CacheStats {
-    /// Miss ratio in `[0, 1]`; `0` when no accesses occurred.
-    #[must_use]
-    pub fn miss_ratio(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
-}
-
 /// A direct-mapped instruction cache (tags only).
 #[derive(Debug, Clone)]
 pub struct ICache {
@@ -284,17 +272,6 @@ mod tests {
         c.reset();
         assert!(!c.probe(Addr::new(0x40)));
         assert_eq!(c.stats(), CacheStats::default());
-    }
-
-    #[test]
-    fn miss_ratio() {
-        let mut c = small();
-        c.access(Addr::new(0x0));
-        c.access(Addr::new(0x0));
-        c.access(Addr::new(0x0));
-        c.access(Addr::new(0x0));
-        assert!((c.stats().miss_ratio() - 0.25).abs() < 1e-9);
-        assert_eq!(CacheStats::default().miss_ratio(), 0.0);
     }
 
     #[test]

@@ -99,12 +99,6 @@ impl SsaForm {
         self.defs.len()
     }
 
-    /// Total number of phi nodes across all blocks.
-    #[must_use]
-    pub fn num_phis(&self) -> usize {
-        self.phis.iter().map(Vec::len).sum()
-    }
-
     /// SSA destruction. Registers are never renamed by construction, so
     /// dropping the overlay *is* out-of-SSA translation: the program the
     /// overlay annotates is already the destructed form. Returns a clone of

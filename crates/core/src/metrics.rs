@@ -34,17 +34,6 @@ pub fn harmonic_mean(values: &[f64]) -> f64 {
     values.len() as f64 / recip_sum
 }
 
-/// Arithmetic mean (used for percentage aggregates).
-///
-/// Returns `0.0` for an empty slice.
-#[must_use]
-pub fn arithmetic_mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    values.iter().sum::<f64>() / values.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -63,17 +52,11 @@ mod tests {
     #[test]
     fn empty_means_are_zero() {
         assert_eq!(harmonic_mean(&[]), 0.0);
-        assert_eq!(arithmetic_mean(&[]), 0.0);
     }
 
     #[test]
     #[should_panic(expected = "non-positive")]
     fn zero_rate_panics() {
         let _ = harmonic_mean(&[1.0, 0.0]);
-    }
-
-    #[test]
-    fn arithmetic_mean_basic() {
-        assert!((arithmetic_mean(&[1.0, 2.0, 3.0]) - 2.0).abs() < 1e-12);
     }
 }

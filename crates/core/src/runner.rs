@@ -257,15 +257,6 @@ pub enum SubmitError<J> {
     Closed(J),
 }
 
-impl<J> SubmitError<J> {
-    /// The rejected job.
-    pub fn into_job(self) -> J {
-        match self {
-            SubmitError::Full(job) | SubmitError::Closed(job) => job,
-        }
-    }
-}
-
 impl<J> fmt::Display for SubmitError<J> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

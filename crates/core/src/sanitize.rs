@@ -90,18 +90,7 @@ pub fn measure_eir_checked(
     scheme: SchemeKind,
     trace: impl Into<TraceCursor>,
 ) -> (EirResult, Vec<Diagnostic>) {
-    measure_eir_checked_with(machine, scheme, trace, SanitizeConfig::default())
-}
-
-/// [`measure_eir_checked`] with an explicit rule configuration.
-#[must_use]
-pub fn measure_eir_checked_with(
-    machine: &MachineModel,
-    scheme: SchemeKind,
-    trace: impl Into<TraceCursor>,
-    cfg: SanitizeConfig,
-) -> (EirResult, Vec<Diagnostic>) {
-    let mut san = CycleSanitizer::with_config(fetch_env(machine, scheme, false), cfg);
+    let mut san = CycleSanitizer::new(fetch_env(machine, scheme, false));
     let result = crate::sim::measure_eir_observed(machine, scheme, trace.into(), Some(&mut san));
     (result, san.into_diagnostics())
 }

@@ -190,7 +190,6 @@ struct FrontEnd {
     /// `on_mispredict_resolved`.
     waiting_resolve: bool,
     delivered: u64,
-    delivered_useful: u64,
     stats: FetchStats,
 }
 
@@ -210,7 +209,6 @@ impl FrontEnd {
             resume_at: 0,
             waiting_resolve: false,
             delivered: 0,
-            delivered_useful: 0,
             stats: FetchStats::default(),
         }
     }
@@ -219,7 +217,7 @@ impl FrontEnd {
     /// fetch alongside `fetch_block`: the predicted target block of the first
     /// BTB-predicted-taken slot at or after the fetch offset, else the next
     /// sequential block. `peek` looks ahead in the undelivered trace without
-    /// consuming it (both cursor kinds provide this).
+    /// consuming it.
     ///
     /// The walk follows the actual trace, which matches the hardware's BTB
     /// query whenever the predictions are correct; when they are wrong the
@@ -575,13 +573,6 @@ impl AlignedFetchUnit {
         &self.fe.btb
     }
 
-    /// Instructions delivered excluding nops (the useful-work numerator for
-    /// IPC under the padding optimizations).
-    #[must_use]
-    pub fn delivered_useful(&self) -> u64 {
-        self.fe.delivered_useful
-    }
-
     /// Produces this cycle's packet.
     ///
     /// The contract with the simulator driving the unit:
@@ -691,11 +682,6 @@ impl AlignedFetchUnit {
         if n > 0 {
             self.fe.stats.packets += 1;
             self.fe.delivered += n as u64;
-            self.fe.delivered_useful += packet
-                .insts
-                .iter()
-                .filter(|f| f.inst.op != OpClass::Nop)
-                .count() as u64;
             self.cursor.consume(n);
         }
         packet
@@ -836,12 +822,6 @@ impl BlockFetchUnit {
         self.fe.delivered
     }
 
-    /// Instructions delivered excluding nops.
-    #[must_use]
-    pub fn delivered_useful(&self) -> u64 {
-        self.fe.delivered_useful
-    }
-
     /// `true` when the stream is exhausted.
     #[must_use]
     pub fn done(&self) -> bool {
@@ -893,9 +873,8 @@ impl BlockFetchUnit {
         let issue_rate = self.fe.cfg.issue_rate;
         let spec_depth = self.fe.cfg.spec_depth;
         let first_addr = stream.template(records[rec]).insts()[off].addr;
-        // `open_region` peeks at monotonically increasing offsets, so drive
-        // it from an incremental walk instead of `BlockCursor::peek` (which
-        // rescans the record list from the cursor on every call).
+        // `open_region` peeks at monotonically increasing offsets, so one
+        // incremental walk over the stream serves every peek.
         let cursor = &self.cursor;
         let mut ahead = cursor.iter_ahead();
         let mut ahead_next = 0usize;
@@ -1019,7 +998,6 @@ impl BlockFetchUnit {
         if n > 0 {
             self.fe.stats.packets += 1;
             self.fe.delivered += u64::from(n);
-            self.fe.delivered_useful += u64::from(n - out.nops);
             self.cursor.consume(n as usize);
             out.len = n;
             FetchOutcome::Delivered
@@ -1399,23 +1377,6 @@ mod tests {
         let mut u = unit(SchemeKind::Sequential, run(0x1000, 8));
         let _ = drain(&mut u);
         assert_eq!(u.delivered(), 8);
-        assert_eq!(u.delivered_useful(), 8);
-    }
-
-    #[test]
-    fn nops_are_excluded_from_useful_count() {
-        let mut trace = run(0x1000, 2);
-        trace.push(DynInst::simple(
-            Addr::new(0x1008),
-            OpClass::Nop,
-            None,
-            [None, None],
-        ));
-        trace.push(alu(0x100c));
-        let mut u = unit(SchemeKind::Sequential, trace);
-        let _ = drain(&mut u);
-        assert_eq!(u.delivered(), 4);
-        assert_eq!(u.delivered_useful(), 3);
     }
 
     /// Drives an [`AlignedFetchUnit`] and a [`BlockFetchUnit`] over the same
@@ -1478,7 +1439,6 @@ mod tests {
         assert!(fast.done());
         assert_eq!(oracle.stats(), fast.stats());
         assert_eq!(oracle.delivered(), fast.delivered());
-        assert_eq!(oracle.delivered_useful(), fast.delivered_useful());
         assert_eq!(oracle.icache().stats(), fast.icache().stats());
         assert_eq!(oracle.btb().stats(), fast.btb().stats());
     }

@@ -4,9 +4,8 @@
 //! text ([`crate::wat`]) — produce the same [`Module`] of labeled blocks
 //! with pending (label-referencing) terminators; [`lower`] then resolves
 //! labels through one [`ProgramBuilder`] walk, allocating behaviour models
-//! in [`BranchId`](fetchmech_isa::BranchId) order exactly like the
-//! workloads assembler does, so the result executes through the existing
-//! trace generator unchanged.
+//! in [`BranchId`](fetchmech_isa::BranchId) order, so the result executes
+//! through the existing trace generator unchanged.
 //!
 //! # Lowering rules
 //!

@@ -13,8 +13,9 @@
 //!
 //! Behaviour is the one thing an external format cannot carry natively:
 //! the simulator needs to know how often each conditional branch is taken.
-//! Both frontends accept the workloads assembler's annotation grammar
-//! (`p=…`, `loop=…`, `fixed=…`, `pattern=bits:noise`) — as extra JSON
+//! Both frontends accept one annotation grammar
+//! ([`BranchModel::parse_annotation`](fetchmech_workloads::BranchModel::parse_annotation):
+//! `p=…`, `loop=…`, `fixed=…`, `pattern=bits:noise`) — as extra JSON
 //! fields on Bril `br` instructions, and as `;; @…` comments after WAT
 //! `br_if` — defaulting to an even coin flip.
 //!

@@ -12,8 +12,8 @@
 //!   fall-through continues in a synthesized block.
 //! * Branch behaviour is annotated in a comment immediately after the
 //!   `br_if`: `;; @loop=20`, `;; @p=0.1`, `;; @fixed=8`,
-//!   `;; @pattern=1101:0.05` (the assembler grammar). Unannotated branches
-//!   are even coin flips.
+//!   `;; @pattern=1101:0.05` (the `BranchModel::parse_annotation`
+//!   grammar). Unannotated branches are even coin flips.
 //!
 //! Values are abstract. The operand stack is modeled as a stack of
 //! registers: locals get dedicated registers (`r1..r15` / `f1..f15`),

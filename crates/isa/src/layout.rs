@@ -106,14 +106,6 @@ pub struct LaidInst {
     pub block: BlockId,
 }
 
-impl LaidInst {
-    /// The address of the next sequential instruction.
-    #[must_use]
-    pub fn fall_addr(&self) -> Addr {
-        self.addr.add_words(1)
-    }
-}
-
 /// Code-size statistics for a layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LayoutStats {

@@ -58,7 +58,6 @@ pub mod reg;
 pub mod rng;
 pub mod stream;
 pub mod trace;
-pub mod trace_io;
 
 pub use addr::{Addr, WORD_BYTES};
 pub use cfg::{
@@ -75,4 +74,3 @@ pub use op::{FuClass, OpClass};
 pub use reg::{Reg, NUM_FP_REGS, NUM_INT_REGS};
 pub use stream::{BlockStream, BlockStreamBuilder, SegTemplate, StreamStats};
 pub use trace::{DynCtrl, DynInst, TraceStats};
-pub use trace_io::{read_trace, write_trace};

@@ -170,12 +170,6 @@ impl OpClass {
         matches!(self, OpClass::Jump | OpClass::Call | OpClass::Return)
     }
 
-    /// Returns `true` if the instruction reads or writes memory.
-    #[must_use]
-    pub fn is_mem(self) -> bool {
-        matches!(self, OpClass::Load | OpClass::Store)
-    }
-
     /// Returns `true` for floating-point arithmetic.
     #[must_use]
     pub fn is_fp(self) -> bool {

@@ -183,12 +183,6 @@ impl SegTemplate {
         self.insts[0].addr
     }
 
-    /// Fetch-block id of the first instruction for the given block size.
-    #[must_use]
-    pub fn start_block(&self, block_bytes: u64) -> Addr {
-        self.start_addr().block_base(block_bytes)
-    }
-
     /// Address execution resumes at after this segment.
     #[must_use]
     pub fn next_pc(&self) -> Addr {
@@ -603,7 +597,6 @@ mod tests {
         assert_eq!(t.len(), 1);
         assert!(!t.is_cut());
         assert_eq!(t.start_addr(), Addr::new(0x100));
-        assert_eq!(t.start_block(16), Addr::new(0x100));
         assert_eq!(t.next_pc(), Addr::new(0x300));
         assert!(t.sequential());
         assert_eq!(s.materialize(), trace);

@@ -9,7 +9,7 @@
 //! reports resolution (the paper's footnote 1: total penalty = fetch redirect
 //! penalty + cycles until the branch executes).
 
-use fetchmech_isa::{BlockStream, DynInst, SegTemplate};
+use fetchmech_isa::{BlockStream, DynInst};
 
 /// One fetched instruction plus its prediction outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,12 +152,12 @@ impl TraceCursor {
 
 /// A peekable cursor over a shared run-length [`BlockStream`].
 ///
-/// The block-level analogue of [`TraceCursor`]: the same peek/consume
-/// contract over the same logical instruction sequence, but positioned as
-/// (record, offset) into the stream so the fast fetch path can admit whole
-/// template runs without touching individual instructions. `peek`/`consume`
-/// transparently cross segment boundaries, so any per-instruction consumer
-/// behaves exactly as it would over the materialized trace.
+/// The block-level analogue of [`TraceCursor`] over the same logical
+/// instruction sequence, but positioned as (record, offset) into the stream
+/// so the fast fetch path can admit whole template runs without touching
+/// individual instructions. `iter_ahead`/`consume` transparently cross
+/// segment boundaries, so any per-instruction consumer behaves exactly as it
+/// would over the materialized trace.
 ///
 /// # Examples
 ///
@@ -170,9 +170,9 @@ impl TraceCursor {
 ///     .collect();
 /// let stream = std::sync::Arc::new(BlockStream::from_insts(&insts));
 /// let mut cur = BlockCursor::new(stream);
-/// assert_eq!(cur.peek(2).unwrap().addr, Addr::from_word_index(2));
+/// assert_eq!(cur.iter_ahead().nth(2).unwrap().addr, Addr::from_word_index(2));
 /// cur.consume(3);
-/// assert_eq!(cur.peek(0).unwrap().addr, Addr::from_word_index(3));
+/// assert_eq!(cur.iter_ahead().next().unwrap().addr, Addr::from_word_index(3));
 /// cur.consume(1);
 /// assert!(cur.is_done());
 /// ```
@@ -211,24 +211,6 @@ impl BlockCursor {
         }
     }
 
-    /// Returns the instruction `offset` positions ahead of the cursor, if the
-    /// stream extends that far (crossing segment boundaries as needed).
-    #[must_use]
-    pub fn peek(&self, offset: usize) -> Option<&DynInst> {
-        let records = self.stream.records();
-        let mut rec = self.rec;
-        let mut k = self.off + offset;
-        while rec < records.len() {
-            let t = self.stream.template(records[rec]);
-            if k < t.len() {
-                return Some(&t.insts()[k]);
-            }
-            k -= t.len();
-            rec += 1;
-        }
-        None
-    }
-
     /// Advances the cursor by `n` instructions.
     ///
     /// # Panics
@@ -258,12 +240,6 @@ impl BlockCursor {
         self.rec >= self.stream.records().len()
     }
 
-    /// Instructions not yet consumed.
-    #[must_use]
-    pub fn remaining(&self) -> u64 {
-        self.stream.total_insts() - self.pos
-    }
-
     /// Absolute instructions consumed so far.
     #[must_use]
     pub fn pos(&self) -> u64 {
@@ -281,19 +257,6 @@ impl BlockCursor {
     #[must_use]
     pub fn offset(&self) -> usize {
         self.off
-    }
-
-    /// The remainder of the current segment (from the cursor position to the
-    /// segment's end), with its template id and offset, or `None` at end of
-    /// stream. The slice always contains at least one instruction.
-    #[must_use]
-    pub fn run(&self) -> Option<(u32, usize, &SegTemplate)> {
-        let records = self.stream.records();
-        if self.rec >= records.len() {
-            return None;
-        }
-        let id = records[self.rec];
-        Some((id, self.off, self.stream.template(id)))
     }
 
     /// Iterates the instructions ahead of the cursor (inclusive of the
@@ -471,47 +434,32 @@ mod tests {
         let mut b = BlockCursor::new(stream);
         let mut t = TraceCursor::new(trace.clone());
         let mut consumed = 0usize;
-        for step in [1usize, 2, 4, 0, 3, 1, 2] {
-            for k in 0..8 {
-                assert_eq!(b.peek(k), t.peek(k), "peek {k} after {consumed}");
-            }
+        for step in [0usize, 1, 2, 4, 0, 3, 1, 2] {
             let n = step.min(t.remaining());
             b.consume(n);
             t.consume(n);
             consumed += n;
+            let ahead: Vec<DynInst> = b.iter_ahead().copied().collect();
+            assert_eq!(ahead, t.trace[t.pos..], "after {consumed}");
             assert_eq!(b.is_done(), t.is_done());
-            assert_eq!(b.remaining(), t.remaining() as u64);
+            assert_eq!(b.pos(), consumed as u64);
         }
-        assert_eq!(b.pos(), consumed as u64);
+        assert!(b.is_done());
     }
 
     #[test]
-    fn block_cursor_iter_ahead_matches_tail() {
+    fn block_cursor_tracks_record_and_offset() {
         let trace = looped_trace();
         let stream = std::sync::Arc::new(BlockStream::from_insts(&trace));
         let mut b = BlockCursor::new(stream);
-        b.consume(4);
-        let ahead: Vec<DynInst> = b.iter_ahead().copied().collect();
-        assert_eq!(ahead, trace[4..]);
-    }
-
-    #[test]
-    fn block_cursor_run_is_segment_remainder() {
-        let trace = looped_trace();
-        let stream = std::sync::Arc::new(BlockStream::from_insts(&trace));
-        let mut b = BlockCursor::new(stream);
-        let (_, off, t) = b.run().unwrap();
-        assert_eq!(off, 0);
-        assert_eq!(t.len(), 3);
+        assert_eq!((b.record_index(), b.offset()), (0, 0));
         b.consume(1);
-        let (_, off, t) = b.run().unwrap();
-        assert_eq!(off, 1);
-        assert_eq!(&t.insts()[off..], &trace[1..3]);
-        b.consume(t.len() - off);
-        let (_, off, _) = b.run().unwrap();
-        assert_eq!(off, 0);
-        b.consume(b.remaining() as usize);
-        assert!(b.run().is_none());
+        assert_eq!((b.record_index(), b.offset()), (0, 1));
+        b.consume(2);
+        assert_eq!((b.record_index(), b.offset()), (1, 0));
+        b.consume(trace.len() - 3);
+        assert_eq!(b.record_index(), b.stream().records().len());
+        assert_eq!(b.offset(), 0);
         assert!(b.is_done());
     }
 

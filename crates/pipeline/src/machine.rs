@@ -158,15 +158,6 @@ impl MachineModel {
         }
     }
 
-    /// Maximum conditional branches a single packet can contain with no
-    /// unresolved branches in flight: fetch admits an instruction while
-    /// `unresolved + conds_in_packet <= spec_depth`, so the packet holds up
-    /// to `spec_depth + 1` conditionals (the last one ends it).
-    #[must_use]
-    pub fn max_packet_conds(&self) -> u32 {
-        self.spec_depth + 1
-    }
-
     /// Number of cache blocks a run of `insts` instructions starting at
     /// `start` touches (zero-length runs touch none).
     #[must_use]

@@ -71,8 +71,8 @@ impl BranchModel {
     }
 
     /// Parses one behaviour annotation — `p=0.7`, `loop=20`, `fixed=8` or
-    /// `pattern=1101:0.05` — the grammar the assembler and both program
-    /// frontends share. Callers attach their own line numbers to the error.
+    /// `pattern=1101:0.05` — the grammar both program frontends share.
+    /// Callers attach their own line numbers to the error.
     ///
     /// # Errors
     ///
@@ -477,6 +477,59 @@ mod tests {
             perturbed.model(BranchId(0)),
             "alias must track its base across inputs"
         );
+    }
+
+    #[test]
+    fn annotations_map_to_models() {
+        let cases = [
+            ("p=0.85", BranchModel::Bernoulli(0.85)),
+            ("loop=7.5", BranchModel::Loop { mean_trips: 7.5 }),
+            ("fixed=40", BranchModel::FixedLoop { trips: 40 }),
+            (
+                "pattern=101:0.1",
+                BranchModel::Pattern {
+                    bits: 0b101,
+                    len: 3,
+                    noise: 0.1,
+                },
+            ),
+            // Bits are read first-outcome-first: bit i is the i-th decision.
+            (
+                " pattern = 0011 : 0 ",
+                BranchModel::Pattern {
+                    bits: 0b1100,
+                    len: 4,
+                    noise: 0.0,
+                },
+            ),
+        ];
+        for (anno, want) in cases {
+            assert_eq!(BranchModel::parse_annotation(anno), Ok(want), "{anno}");
+        }
+    }
+
+    #[test]
+    fn malformed_annotations_are_named() {
+        let cases = [
+            ("p=seven", "bad probability \"seven\""),
+            ("p=7", "probability must be in [0, 1]"),
+            ("loop=0.5", "loop mean must be >= 1"),
+            ("fixed=0", "fixed trips must be >= 1"),
+            ("fixed=2.5", "bad trip count \"2.5\""),
+            ("pattern=101", "pattern needs `bits:noise`"),
+            ("pattern=:0.1", "pattern needs 1..=32 bits"),
+            ("pattern=1021:0.1", "pattern bits must be 0 or 1"),
+            ("pattern=101:2", "noise must be in [0, 1]"),
+            ("k=1", "unknown behaviour annotation @k="),
+            ("p", "bad behaviour annotation @p"),
+        ];
+        for (anno, want) in cases {
+            assert_eq!(
+                BranchModel::parse_annotation(anno),
+                Err(want.to_owned()),
+                "{anno}"
+            );
+        }
     }
 
     #[test]

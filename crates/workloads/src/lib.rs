@@ -33,14 +33,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod asm;
 pub mod behavior;
 pub mod exec;
 pub mod spec;
 pub mod stream;
 pub mod suite;
 
-pub use asm::{parse_asm, AsmError, AsmProgram};
 pub use behavior::{BehaviorMap, BehaviorState, BranchModel};
 pub use exec::{Executor, InputId};
 pub use spec::{Workload, WorkloadClass, WorkloadSpec};

@@ -134,22 +134,3 @@ fn every_benchmark_is_exercised_by_every_input() {
         }
     }
 }
-
-#[test]
-fn generated_traces_serialize_and_replay() {
-    use fetchmech_isa::{read_trace, write_trace};
-    let w = suite::benchmark("espresso").expect("known");
-    let layout = Layout::natural(&w.program, LayoutOptions::new(16)).expect("layout");
-    let trace: Vec<_> = w.executor(&layout, InputId::TEST, 8_000).collect();
-    let mut buf = Vec::new();
-    write_trace(&mut buf, &trace).expect("write");
-    let back = read_trace(buf.as_slice()).expect("read");
-    assert_eq!(back, trace, "serialized trace must replay identically");
-    // ~34 bytes per record: the format stays compact.
-    assert!(
-        buf.len() < trace.len() * 40,
-        "{} bytes for {} records",
-        buf.len(),
-        trace.len()
-    );
-}

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use fetchmech::compiler::{optimize, OptimizeConfig, PassKind, Profile};
-use fetchmech::isa::{Layout, LayoutOptions};
+use fetchmech::isa::{Layout, LayoutOptions, OpClass};
 use fetchmech::pipeline::MachineModel;
 use fetchmech::workloads::{InputId, Workload, WorkloadSpec};
 use fetchmech::{simulate, simulate_reference, SchemeKind};
@@ -67,6 +67,7 @@ fn natural_layout(w: &Workload, machine: &MachineModel) -> Layout {
 #[test]
 fn examples_lower_to_valid_programs_and_retire_on_every_scheme() {
     let machine = MachineModel::p14();
+    let mut ops_seen = Vec::new();
     for (name, format, src) in EXAMPLES {
         let w = workload(name, format, src);
         let diags = verify_program(&w.program);
@@ -77,11 +78,19 @@ fn examples_lower_to_valid_programs_and_retire_on_every_scheme() {
         let layout = natural_layout(&w, &machine);
         let trace: Vec<_> = w.executor(&layout, InputId::TEST, INSTS).collect();
         assert_eq!(trace.len() as u64, INSTS, "{name}: trace truncated");
+        for pair in trace.windows(2) {
+            assert_eq!(pair[0].next_pc, pair[1].addr, "{name}: trace not linked");
+        }
+        ops_seen.extend(trace.iter().map(|i| i.op));
         for scheme in SchemeKind::ALL {
             let r = simulate(&machine, scheme, trace.clone());
             assert_eq!(r.retired, INSTS, "{name} on {scheme}: not all retired");
             assert!(r.ipc() > 0.0, "{name} on {scheme}: zero IPC");
         }
+    }
+    // The linkage check above covers every control-transfer kind.
+    for op in [OpClass::Call, OpClass::Return, OpClass::Halt] {
+        assert!(ops_seen.contains(&op), "no example trace contains {op:?}");
     }
 }
 
@@ -167,7 +176,7 @@ fn dump_names_every_qualified_label() {
 
 #[test]
 fn bril_error_paths_have_stable_diagnostics() {
-    let cases: [(&str, &str); 4] = [
+    let cases: [(&str, &str); 6] = [
         (r#"{"functions": []}"#, "\"functions\" must not be empty"),
         (
             r#"{"functions": [{"name": "main", "instrs": [
@@ -191,6 +200,22 @@ fn bril_error_paths_have_stable_diagnostics() {
                 {"op": "ret"}
             ]}]}"#,
             "nowhere",
+        ),
+        (
+            r#"{"functions": [{"name": "main", "instrs": [
+                {"op": "call", "funcs": ["nowhere"]},
+                {"op": "ret"}
+            ]}]}"#,
+            "unknown function \"nowhere\"",
+        ),
+        (
+            r#"{"functions": [{"name": "main", "instrs": [
+                {"label": "a"},
+                {"op": "nop"},
+                {"label": "a"},
+                {"op": "ret"}
+            ]}]}"#,
+            "duplicate block label \"a\"",
         ),
     ];
     for (src, needle) in cases {
