@@ -60,12 +60,18 @@ if cargo run -q -p fetchmech-repro --bin fetchmech-lint -- frontend "$bad_prog" 
 fi
 rm -f "$bad_prog"
 
-echo "==> report (paper tables regenerate offline)"
-report_out="$(cargo run --release --offline -q --bin report -- --quick machines table2 table3)"
-if [ -z "$report_out" ]; then
+echo "==> report (every paper table regenerates offline, pinned to ci/report-quick.txt)"
+# Every number of every table and figure must come out byte-identical. Any
+# diff is a behaviour change: regenerate ci/report-quick.txt only as part of a
+# deliberate, reviewed change.
+report_out="$(mktemp)"
+cargo run --release --offline -q --bin report -- --quick >"$report_out"
+if [ ! -s "$report_out" ]; then
     echo "report printed nothing" >&2
     exit 1
 fi
+diff -u ci/report-quick.txt "$report_out"
+rm -f "$report_out"
 
 echo "==> custom_assembly example (hand-written Bril -> frontend -> block stream -> simulate)"
 cargo run --release --offline -q --example custom_assembly >/dev/null

@@ -64,7 +64,9 @@ pub struct Ablations {
 impl Ablations {
     /// Runs all three sweeps as one flat job grid. Every machine variant
     /// shares the P112 block size, so all runs draw on the same cached
-    /// traces — only the simulations differ per sweep point.
+    /// block streams — only the simulations differ per sweep point. The
+    /// sweep points equal to base P112 repeat one another (and Figure 9's
+    /// P112 cells), so they are simulation-memo hits.
     pub fn run(lab: &Lab) -> Self {
         let names = lab.class_names(WorkloadClass::Int);
         let n = names.len();

@@ -46,8 +46,10 @@ pub struct Fig11 {
 
 impl Fig11 {
     /// Runs the experiment. The shifter (3-cycle penalty) machine shares the
-    /// same cache-block size as its base machine, so its runs are trace-cache
-    /// hits — only the simulations differ.
+    /// same cache-block size as its base machine, so its runs are
+    /// stream-cache hits — only its simulations are new. The base machines'
+    /// cells repeat Figure 9's, so after Figure 9 they are simulation-memo
+    /// hits.
     pub fn run(lab: &Lab) -> Self {
         let machines = MachineModel::paper_models();
         let names = lab.class_names(WorkloadClass::Int);

@@ -7,11 +7,12 @@
 //!
 //! All drivers hang off [`Lab`], the shared experiment state. The lab is
 //! fully thread-safe (`&self` everywhere): benchmark programs, profiles,
-//! reordered programs, layouts, block streams, and materialized dynamic
-//! traces live in concurrent exactly-once caches, so every expensive artifact
-//! is computed a single time per process no matter how many drivers or worker
-//! threads ask for it. Block streams are shared as `Arc<BlockStream>` and
-//! handed to the simulator by reference-count bump (see
+//! reordered programs, layouts, block streams, materialized dynamic traces,
+//! and [`Lab::run`]'s simulation results live in concurrent exactly-once
+//! caches, so every expensive artifact is computed a single time per process
+//! no matter how many drivers or worker threads ask for it. Block streams
+//! are shared as `Arc<BlockStream>` and handed to the simulator by
+//! reference-count bump (see
 //! [`BlockCursor`](fetchmech_pipeline::BlockCursor)), never copied or
 //! regenerated per run; per-instruction traces (`Arc<[DynInst]>`) feed the
 //! drivers that count instruction statistics (Tables 2 and 3).
@@ -271,6 +272,11 @@ pub struct LabCacheStats {
     pub reorder_hits: u64,
     /// Reorderings actually computed.
     pub reorder_builds: u64,
+    /// [`Lab::run`] results returned from the simulation memo.
+    pub sim_hits: u64,
+    /// Simulations [`Lab::run`] actually ran (one per distinct
+    /// (stream key, machine, scheme) cell).
+    pub sim_runs: u64,
 }
 
 impl LabCacheStats {
@@ -290,6 +296,8 @@ impl LabCacheStats {
             ("profile_collections", Value::Uint(self.profile_collections)),
             ("reorder_hits", Value::Uint(self.reorder_hits)),
             ("reorder_builds", Value::Uint(self.reorder_builds)),
+            ("sim_hits", Value::Uint(self.sim_hits)),
+            ("sim_runs", Value::Uint(self.sim_runs)),
         ])
     }
 }
@@ -302,8 +310,8 @@ impl LabCacheStats {
 pub const MAX_EXTERNAL_PROGRAMS: usize = 128;
 
 /// The experiment laboratory: benchmark suite plus concurrently cached
-/// profiles, reordered programs, layouts, and materialized traces, shared
-/// across all drivers and worker threads.
+/// profiles, reordered programs, layouts, materialized traces, block streams
+/// and simulation results, shared across all drivers and worker threads.
 #[derive(Debug)]
 pub struct Lab {
     cfg: ExpConfig,
@@ -319,6 +327,9 @@ pub struct Lab {
     layouts: Memo<(&'static str, LayoutVariant, u64), Arc<Layout>>,
     traces: Memo<TraceKey, Arc<[DynInst]>>,
     streams: Memo<TraceKey, Arc<BlockStream>>,
+    /// [`Lab::run`] results. The whole machine is the key, `name` included,
+    /// because [`SimResult::machine`] carries the name.
+    runs: Memo<(TraceKey, MachineModel, SchemeKind), SimResult>,
 }
 
 impl Lab {
@@ -359,6 +370,7 @@ impl Lab {
             layouts: Memo::new(),
             traces: Memo::new(),
             streams: Memo::new(),
+            runs: Memo::new(),
         }
     }
 
@@ -616,13 +628,7 @@ impl Lab {
         variant: LayoutVariant,
         block_bytes: u64,
     ) -> Arc<BlockStream> {
-        self.stream(TraceKey {
-            bench,
-            variant,
-            block_bytes,
-            input: InputId::TEST,
-            limit: self.cfg.trace_len,
-        })
+        self.stream(self.test_key(bench, variant, block_bytes))
     }
 
     /// The standard measurement trace: test input, configured trace length.
@@ -632,21 +638,30 @@ impl Lab {
         variant: LayoutVariant,
         block_bytes: u64,
     ) -> Arc<[DynInst]> {
-        self.trace(TraceKey {
+        self.trace(self.test_key(bench, variant, block_bytes))
+    }
+
+    /// The key of the standard measurement input: test input, configured
+    /// trace length.
+    fn test_key(&self, bench: &'static str, variant: LayoutVariant, block_bytes: u64) -> TraceKey {
+        TraceKey {
             bench,
             variant,
             block_bytes,
             input: InputId::TEST,
             limit: self.cfg.trace_len,
-        })
+        }
     }
 
-    /// Runs one full simulation of `bench` under `variant` on `machine`.
+    /// The full simulation of `bench` under `variant` on `machine`, run
+    /// exactly once per (stream, machine, scheme) and shared.
     ///
     /// The block stream comes from the shared cache (built on first use) and
     /// is lent to the simulator by refcount bump; the simulator takes the
     /// block-stream fast path, which the differential oracle keeps
-    /// bit-identical to the per-instruction path.
+    /// bit-identical to the per-instruction path. The stream is resolved
+    /// before the result memo is consulted, so every call counts as one
+    /// stream-cache lookup whether or not it simulates.
     pub fn run(
         &self,
         machine: &MachineModel,
@@ -654,8 +669,12 @@ impl Lab {
         bench: &'static str,
         variant: LayoutVariant,
     ) -> SimResult {
-        let stream = self.test_stream(bench, variant, machine.block_bytes);
-        simulate(machine, scheme, &stream)
+        let key = self.test_key(bench, variant, machine.block_bytes);
+        let stream = self.stream(key);
+        self.runs
+            .get_or_compute((key, machine.clone(), scheme), || {
+                simulate(machine, scheme, &stream)
+            })
     }
 
     /// Fetch-only EIR measurement of `bench` under `variant` on `machine`.
@@ -684,6 +703,8 @@ impl Lab {
             profile_collections: self.profiles.misses(),
             reorder_hits: self.reordered.hits(),
             reorder_builds: self.reordered.misses(),
+            sim_hits: self.runs.hits(),
+            sim_runs: self.runs.misses(),
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Exactness of the [`Lab`] shared-cache counters under thread contention.
 //!
-//! The lab promises every expensive artifact (layout, trace, block stream)
-//! is computed *exactly once per process* no matter how many worker threads
+//! The lab promises every expensive artifact (layout, trace, block stream,
+//! simulation result) is computed *exactly once per process* no matter how many worker threads
 //! request it concurrently, and that repeat requesters share the same
 //! allocation. The counters in [`LabCacheStats`] make that auditable, so this
 //! test drives a known request mix from many threads and asserts the exact
@@ -11,7 +11,9 @@ use std::sync::Arc;
 
 use fetchmech::experiments::{ExpConfig, Lab, LabCacheStats, LayoutVariant, TraceKey};
 use fetchmech::isa::DynInst;
+use fetchmech::pipeline::MachineModel;
 use fetchmech::workloads::InputId;
+use fetchmech::{simulate, SchemeKind, SimResult};
 
 const THREADS: usize = 8;
 const REPEATS: usize = 4;
@@ -80,6 +82,7 @@ fn cache_counters_are_exact_under_contention() {
     //   key => 35 lookups, 2 builds, 33 hits. Which thread wins a build race
     //   varies; the totals may not.
     // * profiles/reorderings: Natural layouts never touch them.
+    // * simulations: nothing called `Lab::run`.
     let lookups = (THREADS * REPEATS) as u64;
     assert_eq!(
         lab.cache_stats(),
@@ -94,6 +97,8 @@ fn cache_counters_are_exact_under_contention() {
             profile_collections: 0,
             reorder_hits: 0,
             reorder_builds: 0,
+            sim_hits: 0,
+            sim_runs: 0,
         }
     );
 
@@ -107,4 +112,103 @@ fn cache_counters_are_exact_under_contention() {
     assert_eq!(stats.trace_hits, lookups * 2 - 1);
     assert_eq!(stats.stream_builds, 1);
     assert_eq!(stats.stream_hits, lookups);
+}
+
+/// A small lab: memo tests simulate, and debug builds re-run every
+/// simulation on the per-instruction reference.
+fn small_lab(threads: usize) -> Lab {
+    Lab::with_threads(
+        ExpConfig {
+            trace_len: LIMIT,
+            profile_len: LIMIT,
+        },
+        threads,
+    )
+}
+
+#[test]
+fn repeated_cells_simulate_once_per_distinct_key() {
+    let machines = [MachineModel::p14(), MachineModel::p112()];
+    let schemes = [SchemeKind::Sequential, SchemeKind::CollapsingBuffer];
+    let benches = ["compress", "tomcatv"];
+    let mut cells = Vec::new();
+    for machine in &machines {
+        for scheme in schemes {
+            for bench in benches {
+                cells.push((machine.clone(), scheme, bench));
+            }
+        }
+    }
+    // Every cell three times, interleaved so repeats race across workers.
+    let jobs: Vec<_> = (0..3).flat_map(|_| cells.iter().cloned()).collect();
+    let distinct = cells.len() as u64;
+
+    let mut outputs = Vec::new();
+    for threads in [1, 4] {
+        let lab = small_lab(threads);
+        let results = lab.runner().run(&jobs, |(machine, scheme, bench)| {
+            lab.run(machine, *scheme, bench, LayoutVariant::Natural)
+        });
+        let stats = lab.cache_stats();
+        assert_eq!(stats.sim_runs, distinct, "{threads} thread(s)");
+        assert_eq!(stats.sim_hits, jobs.len() as u64 - distinct);
+        // Every call still resolves its stream first: one stream lookup per
+        // call, one build per (bench, block size).
+        assert_eq!(stats.stream_hits + stats.stream_builds, jobs.len() as u64);
+        assert_eq!(stats.stream_builds, (machines.len() * benches.len()) as u64);
+        outputs.push(results);
+    }
+    assert_eq!(
+        outputs[0], outputs[1],
+        "memoized grid diverged across threads"
+    );
+}
+
+#[test]
+fn memo_hits_equal_a_fresh_simulation() {
+    let lab = small_lab(1);
+    let machine = MachineModel::p18();
+    for scheme in SchemeKind::ALL {
+        let first = lab.run(&machine, scheme, "gcc", LayoutVariant::Reordered);
+        let hit = lab.run(&machine, scheme, "gcc", LayoutVariant::Reordered);
+        let stream = lab.test_stream("gcc", LayoutVariant::Reordered, machine.block_bytes);
+        let fresh = simulate(&machine, scheme, &stream);
+        assert_eq!(hit, fresh, "{scheme:?}: memo hit differs from simulate");
+        assert_eq!(first, fresh);
+    }
+    let stats = lab.cache_stats();
+    assert_eq!(stats.sim_runs, SchemeKind::ALL.len() as u64);
+    assert_eq!(stats.sim_hits, SchemeKind::ALL.len() as u64);
+}
+
+#[test]
+fn machines_differing_only_in_name_are_separate_keys() {
+    let lab = small_lab(1);
+    let p14 = MachineModel::p14();
+    let renamed = MachineModel {
+        name: "P14-renamed".to_owned(),
+        ..p14.clone()
+    };
+    let a = lab.run(
+        &p14,
+        SchemeKind::BankedSequential,
+        "li",
+        LayoutVariant::Natural,
+    );
+    let b = lab.run(
+        &renamed,
+        SchemeKind::BankedSequential,
+        "li",
+        LayoutVariant::Natural,
+    );
+    assert_eq!(lab.cache_stats().sim_runs, 2);
+    assert_eq!(lab.cache_stats().sim_hits, 0);
+    assert_eq!(a.machine, "P14");
+    assert_eq!(b.machine, "P14-renamed");
+    // Same stream, same hardware: only the name differs.
+    let unnamed = |r: SimResult| SimResult {
+        machine: String::new(),
+        ..r
+    };
+    assert_eq!(unnamed(a), unnamed(b));
 }

@@ -9,7 +9,10 @@ use crate::ooo::OooConfig;
 
 /// A complete machine configuration (Table 1 of the paper, plus the
 /// parameters the paper leaves unspecified — see DESIGN.md §1).
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// `Hash` covers every field, `name` included, so a model can key the
+/// experiment lab's simulation memo.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MachineModel {
     /// Model name ("P14", "P18", "P112", or a custom label).
     pub name: String,

@@ -97,8 +97,11 @@ fn main() -> ExitCode {
     }
     let stats = lab.cache_stats();
     eprintln!(
-        "# shared caches: {} streams built / {} hits, {} traces generated / {} hits, \
-         {} layouts built / {} hits, {} profiles collected, {} reorderings",
+        "# shared caches: {} simulations run / {} hits, {} streams built / {} hits, \
+         {} traces generated / {} hits, {} layouts built / {} hits, {} profiles collected, \
+         {} reorderings",
+        stats.sim_runs,
+        stats.sim_hits,
         stats.stream_builds,
         stats.stream_hits,
         stats.trace_generations,

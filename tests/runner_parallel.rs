@@ -57,8 +57,8 @@ fn fig3_driver_is_identical_serial_and_parallel() {
 }
 
 /// Re-running a driver on the same lab builds no new block streams (and, in
-/// debug builds, regenerates no oracle traces): every run after the first is
-/// served from the shared cache.
+/// debug builds, regenerates no oracle traces) and re-simulates no cell:
+/// every run after the first is served from the shared caches.
 #[test]
 fn second_driver_run_generates_no_new_traces() {
     let lab = Lab::with_threads(small_cfg(), 2);
@@ -74,6 +74,11 @@ fn second_driver_run_generates_no_new_traces() {
         "second run must be all stream-cache hits"
     );
     assert!(after_second.stream_hits > after_first.stream_hits);
+    assert!(after_first.sim_runs > 0);
+    assert_eq!(
+        after_second.sim_runs, after_first.sim_runs,
+        "second run must re-simulate no cell"
+    );
     assert_eq!(
         after_second.trace_generations, after_first.trace_generations,
         "second run must regenerate no per-instruction traces"

@@ -357,6 +357,9 @@ fn repeated_sweeps_hit_the_lab_cache_and_stay_deterministic() {
          ({hits_after_first} -> {hits_after_second})"
     );
     assert_eq!(metric_u64(&m, "lab_cache", "trace_generations"), 0);
+    // The service simulates on `lab.stream` and persists results in its
+    // store; it never fills the lab's simulation memo, which never evicts.
+    assert_eq!(metric_u64(&m, "lab_cache", "sim_runs"), 0);
 
     // Oversized grids are rejected up front.
     let (status, body) = http(
