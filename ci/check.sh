@@ -23,6 +23,9 @@ fi
 echo "==> cargo build --workspace"
 cargo build --workspace
 
+echo "==> cargo check perfbench (its own workspace; compiles against the library surface)"
+cargo check --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 

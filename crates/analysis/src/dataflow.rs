@@ -4,7 +4,7 @@
 //! This is the analysis bedrock the ROADMAP's PGO passes (SSA, DCE,
 //! superblock formation) will stand on. The pieces:
 //!
-//! * [`Analysis`] + [`solve`] — a generic iterative worklist solver. An
+//! * [`Analysis`] + `solve` — a generic iterative worklist solver. An
 //!   analysis supplies a lattice (`Fact`, [`Analysis::meet`], the
 //!   initial/boundary elements) and a monotone block [`Analysis::transfer`]
 //!   function; the solver iterates to the fixpoint over a [`CfgView`] in
@@ -26,7 +26,7 @@
 //! analyses may miss dead code, never invent it.
 
 use fetchmech_compiler::{Profile, Trace};
-use fetchmech_isa::{Block, BlockId, CfgView, Inst, OpClass, Program, Reg, Terminator};
+use fetchmech_isa::{Block, BlockId, CfgView, OpClass, Program, Reg, Terminator};
 
 use crate::diag::{DiagnosticSink, Location, Severity};
 use crate::registry::{Pass, Target};
@@ -88,7 +88,7 @@ pub trait Analysis {
     fn transfer(&self, block: &Block, fact: &Self::Fact) -> Self::Fact;
 }
 
-/// Per-block boundary facts computed by [`solve`], indexed by [`BlockId`].
+/// Per-block boundary facts computed by `solve`, indexed by [`BlockId`].
 #[derive(Debug, Clone)]
 pub struct Facts<F> {
     /// Fact at block entry (forward: after meeting predecessors' exits;
@@ -106,7 +106,7 @@ pub struct Facts<F> {
 /// analyses over the whole program; every `Return`/`Halt` block for
 /// backward liveness). Blocks not reachable along the analysis direction
 /// keep [`Analysis::init`] at both boundaries.
-pub fn solve<A: Analysis>(
+pub(crate) fn solve<A: Analysis>(
     program: &Program,
     view: &CfgView,
     analysis: &A,
@@ -276,7 +276,7 @@ impl Liveness {
     /// Registers the terminator reads, as a mask — [`ALL_REGS`] for the
     /// conservative `Call`/`Return`/`Halt` cases.
     #[must_use]
-    pub fn terminator_reads(terminator: &Terminator) -> u64 {
+    pub(crate) fn terminator_reads(terminator: &Terminator) -> u64 {
         match terminator {
             Terminator::CondBranch { srcs, .. } => srcs
                 .iter()
@@ -740,14 +740,10 @@ pub fn check_trace_seeds(program: &Program, traces: &[Trace], sink: &mut Diagnos
     }
 }
 
-// Re-exported for tests that need an `Inst` in scope via this module.
-#[allow(unused_imports)]
-use Inst as _InstForDocs;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fetchmech_isa::ProgramBuilder;
+    use fetchmech_isa::{Inst, ProgramBuilder};
     use fetchmech_workloads::suite;
 
     /// Diamond with a loop: entry -> {left, right} -> join -> entry | exit.

@@ -225,7 +225,7 @@ pub fn check_profile(program: &Program, profile: &Profile, sink: &mut Diagnostic
 
 /// Runs the `profile.trace-preconditions` rule over a trace-selection
 /// configuration.
-pub fn check_trace_preconditions(config: &TraceSelectConfig, sink: &mut DiagnosticSink) {
+pub(crate) fn check_trace_preconditions(config: &TraceSelectConfig, sink: &mut DiagnosticSink) {
     if !config.threshold.is_finite() || config.threshold <= 0.0 {
         sink.error(
             "profile.trace-preconditions",

@@ -436,7 +436,7 @@ pub fn analyze_geometry(
 /// sides of a delta; the perfect scheme has no geometry constraint and
 /// predicts the issue rate outright.
 #[must_use]
-pub fn predicted_eir(
+pub(crate) fn predicted_eir(
     program: &Program,
     layout: &Layout,
     machine: &MachineModel,

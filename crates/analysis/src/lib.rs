@@ -66,23 +66,21 @@ pub mod structural;
 pub mod transform;
 
 pub use dataflow::{
-    dead_writes, liveness, local_value_numbering, reachability, solve, Analysis, DataflowPass,
-    Direction, Dominators, Facts, ReachingDefs,
+    dead_writes, liveness, local_value_numbering, reachability, Analysis, DataflowPass, Direction,
+    Dominators, Facts, ReachingDefs,
 };
 pub use diag::{has_errors, report_human, Diagnostic, DiagnosticSink, Location, Severity};
-pub use geometry::{
-    analyze_geometry, predicted_eir, BlockGeometry, GeometryReport, SchemeGeometry,
-};
+pub use geometry::{analyze_geometry, BlockGeometry, GeometryReport, SchemeGeometry};
 pub use hooks::install_debug_hooks;
 pub use optverify::{
-    check_app_dynamic, check_application, check_opt_static, check_optimized, check_program_ssa,
-    check_ssa, eir_delta, EirDelta, OptVerifyPass, WeightedEir, OPT_RULES,
+    check_app_dynamic, check_application, check_opt_static, check_ssa, eir_delta, EirDelta,
+    OptVerifyPass, WeightedEir, OPT_RULES,
 };
 pub use registry::{Pass, Registry, Target};
 pub use sanitize::{
     check_scheme_dominance, check_static_bound, CycleSanitizer, FetchEnv, SanitizeConfig,
 };
-pub use stream::{check_stream, StreamPass};
+pub use stream::StreamPass;
 
 use fetchmech_compiler::{Optimized, Profile, Reordered, Trace, TraceSelectConfig};
 use fetchmech_isa::{Layout, Program};

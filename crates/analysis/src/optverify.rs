@@ -334,7 +334,7 @@ pub fn check_ssa(
 }
 
 /// Builds the SSA overlay of `program` and lints it in one step.
-pub fn check_program_ssa(program: &Program, sink: &mut DiagnosticSink) {
+pub(crate) fn check_program_ssa(program: &Program, sink: &mut DiagnosticSink) {
     let view = CfgView::local(program);
     let dom = Dominators::compute(program, &view);
     let form = build_ssa(program, &view, &dom);
@@ -684,7 +684,7 @@ fn check_lvn_rewrites(app: &PassApplication, rewrites: &[LvnRewrite], sink: &mut
 /// sites mapped back to the input program's coordinates — the same contract
 /// as the compiler's SSA-based `dce`, derived on a different lattice.
 #[must_use]
-pub fn dead_write_closure(program: &Program) -> Vec<(BlockId, usize, Reg)> {
+pub(crate) fn dead_write_closure(program: &Program) -> Vec<(BlockId, usize, Reg)> {
     let mut cur = program.clone();
     let mut index_map: Vec<Vec<usize>> = program
         .blocks()
@@ -1097,7 +1097,7 @@ pub fn check_opt_static(
 
 /// Full translation validation: the static rules plus the dynamic
 /// observable-trace equivalence of every application.
-pub fn check_optimized(
+pub(crate) fn check_optimized(
     workload: &Workload,
     profile: &Profile,
     optimized: &Optimized,

@@ -191,7 +191,7 @@ impl SanitizeConfig {
 
     /// Returns `true` if `rule` should run.
     #[must_use]
-    pub fn is_enabled(&self, rule: &str) -> bool {
+    pub(crate) fn is_enabled(&self, rule: &str) -> bool {
         !self.disabled.iter().any(|d| d == rule)
     }
 }

@@ -122,7 +122,7 @@ fn check_template(id: usize, t: &SegTemplate, sink: &mut DiagnosticSink) {
 }
 
 /// Runs every [`StreamPass`] rule over `stream`.
-pub fn check_stream(stream: &BlockStream, sink: &mut DiagnosticSink) {
+pub(crate) fn check_stream(stream: &BlockStream, sink: &mut DiagnosticSink) {
     let templates = stream.templates();
     let records = stream.records();
 

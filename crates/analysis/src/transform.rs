@@ -166,7 +166,11 @@ impl Pass for TransformPass {
 }
 
 /// Runs every [`TransformPass`] rule.
-pub fn check_transform(original: &Program, reordered: &Reordered, sink: &mut DiagnosticSink) {
+pub(crate) fn check_transform(
+    original: &Program,
+    reordered: &Reordered,
+    sink: &mut DiagnosticSink,
+) {
     let new = &reordered.program;
 
     // xform.isomorphic: identical block/function/branch structure.
@@ -374,7 +378,7 @@ impl Pass for TraceDiffPass {
 }
 
 /// Runs the dynamic-trace diff for `insts` instructions per side.
-pub fn check_trace_diff(
+pub(crate) fn check_trace_diff(
     workload: &Workload,
     reordered: &Reordered,
     insts: u64,

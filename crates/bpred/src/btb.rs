@@ -1,8 +1,6 @@
 //! The branch-target buffer (see the crate docs for the paper context).
 
-use std::fmt;
-
-use fetchmech_isa::{Addr, WORD_BYTES};
+use fetchmech_isa::Addr;
 
 /// Configuration of the branch-target buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -11,33 +9,9 @@ pub struct BtbConfig {
     pub entries: usize,
     /// Saturating-counter width in bits (the paper uses 2).
     pub counter_bits: u8,
-    /// Interleave factor — the number of instructions per cache block whose
-    /// predictions must be readable in one cycle. Purely structural here
-    /// (a monolithic array with per-word indexing behaves identically), but
-    /// validated and reported for fidelity.
-    pub interleave: u32,
 }
 
 impl BtbConfig {
-    /// The paper's configuration for the given cache-block size in bytes:
-    /// 1024 entries, 2-bit counters, interleave = instructions per block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block_bytes` is not a multiple of the word size.
-    #[must_use]
-    pub fn for_block_bytes(block_bytes: u64) -> Self {
-        assert!(
-            block_bytes.is_multiple_of(WORD_BYTES),
-            "block size must be whole words"
-        );
-        Self {
-            entries: 1024,
-            counter_bits: 2,
-            interleave: (block_bytes / WORD_BYTES) as u32,
-        }
-    }
-
     fn counter_max(&self) -> u8 {
         (1u16 << self.counter_bits) as u8 - 1
     }
@@ -49,23 +23,12 @@ impl BtbConfig {
 }
 
 impl Default for BtbConfig {
-    /// 1024 entries, 2-bit counters, interleave 4 (the P14 geometry).
+    /// The paper's BTB: 1024 entries, 2-bit counters.
     fn default() -> Self {
         Self {
             entries: 1024,
             counter_bits: 2,
-            interleave: 4,
         }
-    }
-}
-
-impl fmt::Display for BtbConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}-entry direct-mapped BTB, {}-bit counters, interleave {}",
-            self.entries, self.counter_bits, self.interleave
-        )
     }
 }
 
@@ -91,30 +54,13 @@ pub struct Prediction {
 impl Prediction {
     /// The not-taken / BTB-miss prediction.
     #[must_use]
-    pub fn not_taken() -> Self {
+    pub(crate) fn not_taken() -> Self {
         Self {
             taken: false,
             target: None,
             hit: false,
         }
     }
-}
-
-/// Block-level prediction: the output of the interleaved-BTB comparator
-/// chain of Figure 5.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BlockPrediction {
-    /// One bit per instruction slot from the queried offset to the end of the
-    /// block: `true` for slots predicted to execute (up to and including the
-    /// first predicted-taken branch).
-    pub valid: Vec<bool>,
-    /// Predicted address of the next instruction after this block's valid
-    /// run: the first predicted-taken branch's target, or the sequential
-    /// address after the block.
-    pub successor: Addr,
-    /// Slot index (relative to the block base) of the first predicted-taken
-    /// branch, if any.
-    pub taken_slot: Option<u32>,
 }
 
 /// Predictor update/lookup statistics.
@@ -207,7 +153,7 @@ impl Btb {
     }
 
     /// Non-mutating variant of [`Btb::predict`] (no statistics update),
-    /// used by block-level queries and tests.
+    /// used by the fetch unit's block-level comparator chain.
     #[must_use]
     pub fn peek(&self, addr: Addr, is_cond: bool) -> Prediction {
         let slot = self.slot(addr);
@@ -265,63 +211,6 @@ impl Btb {
                     });
                 }
             }
-        }
-    }
-
-    /// Reproduces the interleaved-BTB block query of Figure 5: predictions
-    /// for every slot of the cache block at `block_base`, starting from
-    /// `from_slot`, for a block of `insts_per_block` instructions.
-    ///
-    /// The returned valid bits cover slots `from_slot..insts_per_block`; bits
-    /// before `from_slot` are conceptually invalid and not included. The
-    /// query is non-mutating (the hardware reads all banks in parallel).
-    ///
-    /// `is_cond` reports, per slot, whether the instruction there is a
-    /// conditional branch; the fetch hardware knows this no earlier than
-    /// decode, but a BTB hit implies the slot held a control transfer when
-    /// it last executed, so passing a decode-assisted closure keeps the model
-    /// faithful while letting tests drive arbitrary shapes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block_base` is not block-aligned or `from_slot` is out of
-    /// range.
-    #[must_use]
-    pub fn query_block(
-        &self,
-        block_base: Addr,
-        insts_per_block: u32,
-        from_slot: u32,
-        is_cond: impl Fn(Addr) -> bool,
-    ) -> BlockPrediction {
-        let block_bytes = u64::from(insts_per_block) * WORD_BYTES;
-        assert!(
-            block_base.byte().is_multiple_of(block_bytes),
-            "block base {block_base} not aligned to {block_bytes}-byte blocks"
-        );
-        assert!(
-            from_slot < insts_per_block,
-            "from_slot {from_slot} out of range"
-        );
-        let mut valid = Vec::with_capacity((insts_per_block - from_slot) as usize);
-        let mut successor = block_base.add_words(u64::from(insts_per_block));
-        let mut taken_slot = None;
-        for slot in from_slot..insts_per_block {
-            let addr = block_base.add_words(u64::from(slot));
-            valid.push(true);
-            let p = self.peek(addr, is_cond(addr));
-            if p.taken {
-                if let Some(t) = p.target {
-                    successor = t;
-                    taken_slot = Some(slot);
-                    break;
-                }
-            }
-        }
-        BlockPrediction {
-            valid,
-            successor,
-            taken_slot,
         }
     }
 
@@ -431,40 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn query_block_no_taken_branch_is_sequential() {
-        let b = btb();
-        let base = Addr::new(0x1000);
-        let q = b.query_block(base, 4, 0, |_| false);
-        assert_eq!(q.valid, vec![true; 4]);
-        assert_eq!(q.successor, Addr::new(0x1010));
-        assert_eq!(q.taken_slot, None);
-    }
-
-    #[test]
-    fn query_block_stops_at_predicted_taken() {
-        let mut b = btb();
-        let base = Addr::new(0x1000);
-        let branch = base.add_words(2);
-        b.update(branch, true, true, Addr::new(0x4000));
-        let q = b.query_block(base, 4, 0, |a| a == branch);
-        assert_eq!(q.valid, vec![true, true, true]); // slots 0,1,2; 3 masked off
-        assert_eq!(q.successor, Addr::new(0x4000));
-        assert_eq!(q.taken_slot, Some(2));
-    }
-
-    #[test]
-    fn query_block_respects_fetch_offset() {
-        let mut b = btb();
-        let base = Addr::new(0x1000);
-        let early = base; // predicted-taken branch at slot 0
-        b.update(early, true, true, Addr::new(0x4000));
-        // Fetch starting past the branch ignores it.
-        let q = b.query_block(base, 4, 1, |a| a == early);
-        assert_eq!(q.valid, vec![true, true, true]);
-        assert_eq!(q.successor, Addr::new(0x1010));
-    }
-
-    #[test]
     fn peek_matches_predict_without_stats() {
         let mut b = btb();
         let a = Addr::new(0x100);
@@ -484,16 +339,9 @@ mod tests {
     }
 
     #[test]
-    fn config_for_block_bytes() {
-        let c = BtbConfig::for_block_bytes(64);
-        assert_eq!(c.interleave, 16);
+    fn default_is_the_paper_config() {
+        let c = BtbConfig::default();
         assert_eq!(c.entries, 1024);
-    }
-
-    #[test]
-    #[should_panic(expected = "not aligned")]
-    fn query_block_requires_alignment() {
-        let b = btb();
-        let _ = b.query_block(Addr::new(0x1004), 4, 0, |_| false);
+        assert_eq!(c.counter_bits, 2);
     }
 }

@@ -7,9 +7,11 @@
 //! saturating counters; branch target addresses are cached per entry, and the
 //! buffer is interleaved by the number of instructions in a cache block so
 //! that one fetch can query a prediction for every slot of the fetched block
-//! simultaneously (Figure 5). [`Btb`] models the storage and counters;
-//! [`Btb::query_block`] reproduces the comparator chain that produces the
-//! per-slot valid bits and the successor block address.
+//! simultaneously (Figure 5). [`Btb`] models the storage and counters. The
+//! interleaving is structural only (a monolithic array indexed per word
+//! behaves identically), so it has no parameter here; the fetch unit walks
+//! the comparator chain of Figure 5 itself, because its chain also consults
+//! the direction predictor and the return-address stack.
 //!
 //! # Examples
 //!
@@ -37,5 +39,5 @@
 pub mod btb;
 pub mod gshare;
 
-pub use btb::{BlockPrediction, Btb, BtbConfig, BtbStats, Prediction};
+pub use btb::{Btb, BtbConfig, BtbStats, Prediction};
 pub use gshare::{Gshare, GshareConfig, GshareStats, PredictorKind, Tournament};

@@ -1,5 +1,5 @@
-//! Model-based property tests for the BTB and the block-level query, plus
-//! statistical properties of the direction predictors.
+//! Model-based property tests for the BTB, plus statistical properties of
+//! the direction predictors.
 
 use std::collections::HashMap;
 
@@ -87,7 +87,7 @@ proptest! {
     #[test]
     fn btb_matches_reference_model(ops in arb_ops()) {
         let entries = 256;
-        let mut dut = Btb::new(BtbConfig { entries, counter_bits: 2, interleave: 4 });
+        let mut dut = Btb::new(BtbConfig { entries, counter_bits: 2 });
         let mut model = RefBtb::new(entries);
         for op in ops {
             let addr = Addr::from_word_index(op.addr_word);
@@ -99,52 +99,6 @@ proptest! {
             dut.update(addr, op.is_cond, op.taken, target);
             model.update(addr, op.is_cond, op.taken, target);
         }
-    }
-
-    /// `query_block` is exactly "peek each slot until the first
-    /// predicted-taken one".
-    #[test]
-    fn query_block_matches_slotwise_peeks(
-        ops in arb_ops(),
-        block in 0u64..64,
-        from in 0u32..8,
-        cond_mask in any::<u8>(),
-    ) {
-        let insts_per_block = 8u32;
-        let mut btb = Btb::new(BtbConfig { entries: 256, counter_bits: 2, interleave: insts_per_block });
-        for op in ops {
-            btb.update(
-                Addr::from_word_index(op.addr_word),
-                op.is_cond,
-                op.taken,
-                Addr::from_word_index(op.target_word),
-            );
-        }
-        let base = Addr::from_word_index(block * u64::from(insts_per_block));
-        let is_cond = |a: Addr| {
-            let slot = a.offset_words(u64::from(insts_per_block) * 4);
-            cond_mask & (1 << slot) != 0
-        };
-        let q = btb.query_block(base, insts_per_block, from, is_cond);
-        // Replay slot by slot.
-        let mut expect_valid = Vec::new();
-        let mut expect_succ = base.add_words(u64::from(insts_per_block));
-        let mut expect_slot = None;
-        for slot in from..insts_per_block {
-            let a = base.add_words(u64::from(slot));
-            expect_valid.push(true);
-            let p = btb.peek(a, is_cond(a));
-            if p.taken {
-                if let Some(t) = p.target {
-                    expect_succ = t;
-                    expect_slot = Some(slot);
-                    break;
-                }
-            }
-        }
-        prop_assert_eq!(q.valid, expect_valid);
-        prop_assert_eq!(q.successor, expect_succ);
-        prop_assert_eq!(q.taken_slot, expect_slot);
     }
 
     /// On strongly-biased i.i.d. branches, every predictor family converges

@@ -7,7 +7,7 @@
 //! removable; removal can kill the uses that kept *earlier* defs alive, so
 //! [`dce`] iterates build-SSA → collect → remove to a fixpoint.
 //!
-//! On fully reachable programs one round of [`dead_inst_sites`] computes
+//! On fully reachable programs one round of `dead_inst_sites` computes
 //! exactly the same set as the analysis crate's register-liveness
 //! `dead_writes` — two independent algorithms over different lattices — and
 //! the translation-validation layer cross-checks the two (the promoted
@@ -34,7 +34,7 @@ pub struct DeadSite {
 /// Computes per-value liveness for an SSA overlay (phi-transparent
 /// fixpoint).
 #[must_use]
-pub fn value_liveness(form: &SsaForm) -> Vec<bool> {
+pub(crate) fn value_liveness(form: &SsaForm) -> Vec<bool> {
     let mut live = form.exit_live.clone();
     for v in form.inst_uses.iter().flatten().flatten() {
         live[v.0 as usize] = true;
@@ -72,7 +72,11 @@ pub fn value_liveness(form: &SsaForm) -> Vec<bool> {
 /// value is dead, sorted by `(block, inst)`. Unreachable blocks (no SSA
 /// overlay) are skipped.
 #[must_use]
-pub fn dead_inst_sites(program: &Program, form: &SsaForm, dom: &Dominators) -> Vec<DeadSite> {
+pub(crate) fn dead_inst_sites(
+    program: &Program,
+    form: &SsaForm,
+    dom: &Dominators,
+) -> Vec<DeadSite> {
     let live = value_liveness(form);
     let mut sites = Vec::new();
     for b in 0..program.num_blocks() {

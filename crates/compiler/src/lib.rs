@@ -44,7 +44,7 @@ pub mod ssa;
 pub mod superblock;
 pub mod traceselect;
 
-pub use dce::{dce, dead_inst_sites, value_liveness, DceResult, DeadSite};
+pub use dce::{dce, DceResult, DeadSite};
 pub use lvn::{copy_op, lvn, lvn_pure, LvnResult, LvnRewrite};
 pub use pad::{expansion, layout_pad_all, PadReport};
 pub use passes::{optimize, OptimizeConfig, Optimized, PassApplication, PassEdit, PassKind};

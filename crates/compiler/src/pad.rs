@@ -36,7 +36,7 @@ pub struct PadReport {
 impl PadReport {
     /// Extracts the report from a laid-out program.
     #[must_use]
-    pub fn from_layout(layout: &Layout) -> Self {
+    pub(crate) fn from_layout(layout: &Layout) -> Self {
         let stats = layout.stats();
         Self {
             base_insts: stats.total_insts - stats.pad_nops,

@@ -1,5 +1,4 @@
-//! Minimal-SSA overlay construction (and trivial destruction) over
-//! [`CfgView`].
+//! Minimal-SSA overlay construction over [`CfgView`].
 //!
 //! The instruction set has a fixed 64-register file and the simulator models
 //! dataflow, not value semantics, so SSA here is an *overlay*: registers are
@@ -7,8 +6,8 @@
 //! register definition — implicit function-entry values, phi merges, and
 //! body-instruction writes — a dense [`SsaValue`], and records which value
 //! each body-instruction source, terminator source, and phi argument reads.
-//! Destruction is therefore the identity transform ([`SsaForm::destruct`]):
-//! dropping the overlay recovers the original program unchanged.
+//! Destruction is therefore the identity transform: dropping the overlay
+//! recovers the original program unchanged.
 //!
 //! Phi placement is minimal SSA via iterated dominance frontiers
 //! ([`Dominators::frontiers`]), with two domain-specific twists:
@@ -97,15 +96,6 @@ impl SsaForm {
     #[must_use]
     pub fn num_values(&self) -> usize {
         self.defs.len()
-    }
-
-    /// SSA destruction. Registers are never renamed by construction, so
-    /// dropping the overlay *is* out-of-SSA translation: the program the
-    /// overlay annotates is already the destructed form. Returns a clone of
-    /// `program` so the round-trip shape matches real SSA pipelines.
-    #[must_use]
-    pub fn destruct(&self, program: &Program) -> Program {
-        program.clone()
     }
 }
 
@@ -400,7 +390,7 @@ mod tests {
     }
 
     #[test]
-    fn every_use_resolves_and_destruct_is_identity() {
+    fn every_use_resolves() {
         let p = diamond();
         let view = CfgView::local(&p);
         let dom = Dominators::compute(&p, &view);
@@ -408,6 +398,5 @@ mod tests {
         for uses in ssa.inst_uses.iter().flatten().flatten() {
             assert!((uses.0 as usize) < ssa.num_values());
         }
-        assert_eq!(ssa.destruct(&p), p);
     }
 }

@@ -49,7 +49,7 @@ impl fmt::Display for StructureCost {
 ///
 /// Panics if `k == 0`.
 #[must_use]
-pub fn interchange_switch(k: u32) -> StructureCost {
+pub(crate) fn interchange_switch(k: u32) -> StructureCost {
     assert!(k > 0, "blocks hold at least one instruction");
     StructureCost {
         name: "interchange switch",
@@ -68,7 +68,7 @@ pub fn interchange_switch(k: u32) -> StructureCost {
 ///
 /// Panics if `k == 0`.
 #[must_use]
-pub fn valid_select(k: u32) -> StructureCost {
+pub(crate) fn valid_select(k: u32) -> StructureCost {
     assert!(k > 0, "blocks hold at least one instruction");
     StructureCost {
         name: "valid select",
@@ -89,7 +89,7 @@ pub fn valid_select(k: u32) -> StructureCost {
 ///
 /// Panics if `k == 0`.
 #[must_use]
-pub fn collapsing_shifter(k: u32) -> StructureCost {
+pub(crate) fn collapsing_shifter(k: u32) -> StructureCost {
     assert!(k > 0, "blocks hold at least one instruction");
     let ceil_log2 = if k <= 1 {
         0
@@ -113,7 +113,7 @@ pub fn collapsing_shifter(k: u32) -> StructureCost {
 ///
 /// Panics if `k == 0`.
 #[must_use]
-pub fn collapsing_crossbar(k: u32) -> StructureCost {
+pub(crate) fn collapsing_crossbar(k: u32) -> StructureCost {
     assert!(k > 0, "blocks hold at least one instruction");
     StructureCost {
         name: "collapsing buffer (crossbar)",

@@ -35,21 +35,6 @@ pub struct Sweep {
     pub rows: Vec<AblationRow>,
 }
 
-impl Sweep {
-    /// The row at the paper's parameter value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sweep does not include the paper point (a driver bug).
-    #[must_use]
-    pub fn paper_row(&self) -> &AblationRow {
-        self.rows
-            .iter()
-            .find(|r| r.value == self.paper_value)
-            .expect("sweep includes the paper's value")
-    }
-}
-
 /// The ablation study: three sweeps on P112 integer workloads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Ablations {
@@ -184,19 +169,26 @@ mod tests {
     fn ablation_trends_are_sane() {
         let lab = Lab::new(ExpConfig::quick());
         let a = Ablations::run(&lab);
+        let paper_row = |s: &Sweep| {
+            s.rows
+                .iter()
+                .find(|r| r.value == s.paper_value)
+                .map(|r| r.collapsing)
+                .expect("sweep includes the paper's value")
+        };
 
         // More BTB never hurts much; a 64-entry BTB clearly hurts.
         let btb = &a.btb.rows;
         assert!(btb.first().expect("rows").collapsing < btb.last().expect("rows").collapsing);
         assert!(
-            a.btb.paper_row().collapsing > 0.97 * btb.last().expect("rows").collapsing,
+            paper_row(&a.btb) > 0.97 * btb.last().expect("rows").collapsing,
             "the paper's 1024 entries should be near the asymptote"
         );
 
         // Speculation depth 1 strangles fetch; the paper's 6 is near the top.
         let sd = &a.spec_depth.rows;
         assert!(sd[0].collapsing < sd.last().expect("rows").collapsing);
-        assert!(a.spec_depth.paper_row().collapsing > 0.95 * sd.last().expect("rows").collapsing);
+        assert!(paper_row(&a.spec_depth) > 0.95 * sd.last().expect("rows").collapsing);
 
         // A RAS only helps (or is neutral).
         let ras = &a.ras.rows;

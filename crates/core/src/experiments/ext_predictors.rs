@@ -46,7 +46,7 @@ impl ExtPredictorsRow {
     /// `true` if the shifter (3-cycle) collapsing buffer beats banked
     /// sequential — the viability question the paper poses.
     #[must_use]
-    pub fn shifter_viable(&self) -> bool {
+    pub(crate) fn shifter_viable(&self) -> bool {
         self.collapsing_p3 > self.banked
     }
 }

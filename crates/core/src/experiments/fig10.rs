@@ -27,7 +27,7 @@ pub struct Fig10Row {
 impl Fig10Row {
     /// Ratio for one hardware scheme.
     #[must_use]
-    pub fn pct_of(&self, scheme: SchemeKind) -> f64 {
+    pub(crate) fn pct_of(&self, scheme: SchemeKind) -> f64 {
         let idx = SchemeKind::HARDWARE
             .iter()
             .position(|&s| s == scheme)

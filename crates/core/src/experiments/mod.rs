@@ -480,7 +480,7 @@ impl Lab {
     /// The workload registered under `name` — suite benchmark or external
     /// program — if any.
     #[must_use]
-    pub fn find_workload(&self, name: &str) -> Option<Arc<Workload>> {
+    pub(crate) fn find_workload(&self, name: &str) -> Option<Arc<Workload>> {
         if let Some(w) = self.benchmarks.iter().find(|w| w.spec.name == name) {
             return Some(Arc::clone(w));
         }
@@ -711,7 +711,7 @@ impl Lab {
 
 /// Formats a benchmark-class label the way the paper's figures do.
 #[must_use]
-pub fn class_label(class: WorkloadClass) -> &'static str {
+pub(crate) fn class_label(class: WorkloadClass) -> &'static str {
     match class {
         WorkloadClass::Int => "integer",
         WorkloadClass::Fp => "floating-point",

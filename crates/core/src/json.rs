@@ -10,7 +10,7 @@
 //! * [`Value`] — an order-preserving JSON document model (object fields render
 //!   in insertion order, so output is byte-deterministic).
 //! * [`Value::render`] / [`Value::pretty`] — compact and indented writers.
-//! * [`escape`] / [`escape_into`] — string escaping per RFC 8259.
+//! * [`escape`] — string escaping per RFC 8259.
 //! * [`parse`] — a recursive-descent parser with a depth limit, used by the
 //!   experiment service to decode request bodies.
 //! * [`diagnostics_value`] — the lint CLI's diagnostic reporter, so every
@@ -215,7 +215,7 @@ fn write_seq_delim(
 /// Formats an `f64` as a JSON number: shortest round-trip decimal for finite
 /// values, `null` for NaN and the infinities (JSON cannot express them).
 #[must_use]
-pub fn format_f64(x: f64) -> String {
+pub(crate) fn format_f64(x: f64) -> String {
     if x.is_finite() {
         // Rust's `Display` for floats is the shortest string that parses back
         // to the same bits — deterministic and locale-independent. It never
@@ -235,7 +235,7 @@ pub fn escape(s: &str) -> String {
 }
 
 /// [`escape`], appending into an existing buffer.
-pub fn escape_into(out: &mut String, s: &str) {
+pub(crate) fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

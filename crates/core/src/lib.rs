@@ -39,7 +39,7 @@
 pub mod cost;
 pub mod experiments;
 pub mod json;
-pub mod metrics;
+mod metrics;
 pub mod runner;
 pub mod sanitize;
 pub mod sim;

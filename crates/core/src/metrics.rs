@@ -9,15 +9,8 @@
 ///
 /// Panics if any value is non-positive or non-finite (a rate of zero means a
 /// simulation produced no work, which is a bug upstream).
-///
-/// # Examples
-///
-/// ```
-/// let hm = fetchmech::metrics::harmonic_mean(&[2.0, 4.0]);
-/// assert!((hm - 8.0 / 3.0).abs() < 1e-12);
-/// ```
 #[must_use]
-pub fn harmonic_mean(values: &[f64]) -> f64 {
+pub(crate) fn harmonic_mean(values: &[f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
@@ -37,6 +30,11 @@ pub fn harmonic_mean(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn harmonic_mean_of_two_rates() {
+        assert!((harmonic_mean(&[2.0, 4.0]) - 8.0 / 3.0).abs() < 1e-12);
+    }
 
     #[test]
     fn harmonic_mean_of_equal_values_is_the_value() {

@@ -61,8 +61,8 @@ impl Runner {
     /// absent.
     ///
     /// The flag wins over `FETCHMECH_THREADS`; when both are set and
-    /// disagree, a single warning on stderr names the conflict (see
-    /// [`resolve_threads_flag`] for the exact policy). CLIs plumb their
+    /// disagree, a single warning on stderr names the conflict; a flag of
+    /// `0` is unusable and also warns. CLIs plumb their
     /// `--threads N` option through here so flag and env behave identically
     /// everywhere.
     #[must_use]
@@ -162,7 +162,7 @@ fn default_parallelism() -> usize {
 /// integer wins; anything else — `0`, empty, garbage — yields `fallback`
 /// with a warning describing the bad value.
 #[must_use]
-pub fn resolve_threads(var: Option<&str>, fallback: usize) -> (usize, Option<String>) {
+pub(crate) fn resolve_threads(var: Option<&str>, fallback: usize) -> (usize, Option<String>) {
     let Some(raw) = var else {
         return (fallback, None);
     };
@@ -189,7 +189,7 @@ pub fn resolve_threads(var: Option<&str>, fallback: usize) -> (usize, Option<Str
 /// * flag positive, env set to anything else → flag, with one warning naming
 ///   the overridden value.
 #[must_use]
-pub fn resolve_threads_flag(
+pub(crate) fn resolve_threads_flag(
     flag: Option<usize>,
     var: Option<&str>,
     fallback: usize,

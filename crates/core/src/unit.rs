@@ -122,7 +122,7 @@ impl FetchStats {
 
     /// Direction misprediction rate over conditional branches only.
     #[must_use]
-    pub fn cond_dir_mispredict_rate(&self) -> f64 {
+    pub(crate) fn cond_dir_mispredict_rate(&self) -> f64 {
         if self.cond_predictions == 0 {
             0.0
         } else {
@@ -838,7 +838,7 @@ impl BlockFetchUnit {
     /// idle-cycle skip must keep the per-cycle stall counters exact: the
     /// oracle records one redirect stall per empty waiting cycle, so a loop
     /// that jumps over `n` such cycles adds them here.
-    pub fn add_redirect_stalls(&mut self, n: u64) {
+    pub(crate) fn add_redirect_stalls(&mut self, n: u64) {
         debug_assert!(self.fe.waiting_resolve);
         self.fe.stats.redirect_stall_cycles += n;
     }
@@ -846,7 +846,7 @@ impl BlockFetchUnit {
     /// Runs one fetch cycle, filling `out` with the delivered packet in
     /// run-length form (the packet is cleared first). Returns what happened,
     /// including the reason when nothing was delivered.
-    pub fn cycle_into(
+    pub(crate) fn cycle_into(
         &mut self,
         cycle: u64,
         unresolved_branches: u32,
@@ -1033,7 +1033,7 @@ mod tests {
             ras_entries: 0,
         };
         let icache = ICache::new(CacheConfig::new(32 * 1024, BS, 2));
-        let btb = Btb::new(BtbConfig::for_block_bytes(BS));
+        let btb = Btb::new(BtbConfig::default());
         AlignedFetchUnit::new(cfg, icache, btb, TraceCursor::new(trace))
     }
 
@@ -1395,7 +1395,7 @@ mod tests {
             ras_entries: 4,
         };
         let make_cache = || ICache::new(CacheConfig::new(32 * 1024, BS, 2));
-        let make_btb = || Btb::new(BtbConfig::for_block_bytes(BS));
+        let make_btb = || Btb::new(BtbConfig::default());
         let stream = std::sync::Arc::new(BlockStream::from_insts(&trace));
         let mut oracle =
             AlignedFetchUnit::new(cfg, make_cache(), make_btb(), TraceCursor::new(trace));
@@ -1495,7 +1495,7 @@ mod predictor_tests {
             ras_entries: ras,
         };
         let icache = ICache::new(CacheConfig::new(32 * 1024, BS, 2));
-        let btb = Btb::new(BtbConfig::for_block_bytes(BS));
+        let btb = Btb::new(BtbConfig::default());
         AlignedFetchUnit::new(cfg, icache, btb, TraceCursor::new(trace))
     }
 

@@ -97,7 +97,7 @@ impl Addr {
 
     /// Returns `true` if `self` and `other` lie in the same cache block.
     #[must_use]
-    pub fn same_block(self, other: Addr, block_bytes: u64) -> bool {
+    pub(crate) fn same_block(self, other: Addr, block_bytes: u64) -> bool {
         self.block_base(block_bytes) == other.block_base(block_bytes)
     }
 }

@@ -14,7 +14,6 @@ use crate::cfg::{BlockId, CfgView, Program};
 #[derive(Debug, Clone)]
 pub struct Dominators {
     idom: Vec<Option<BlockId>>,
-    rpo_index: Vec<usize>,
 }
 
 impl Dominators {
@@ -54,7 +53,7 @@ impl Dominators {
                 }
             }
         }
-        Self { idom, rpo_index }
+        Self { idom }
     }
 
     fn intersect(
@@ -110,13 +109,6 @@ impl Dominators {
             cur = parent;
         }
         depth
-    }
-
-    /// Reverse-postorder index assigned during construction (`usize::MAX`
-    /// for blocks no function entry reaches).
-    #[must_use]
-    pub fn rpo_index(&self, block: BlockId) -> usize {
-        self.rpo_index[block.0 as usize]
     }
 
     /// Dominance frontiers (Cytron et al.): `frontiers[b]` holds every block

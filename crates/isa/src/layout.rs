@@ -106,6 +106,29 @@ pub struct LaidInst {
     pub block: BlockId,
 }
 
+/// Renders a laid-out instruction as assembly-like text (for debugging and
+/// the example binaries).
+#[must_use]
+pub fn disasm(inst: &LaidInst) -> String {
+    let mut s = format!("{}: {}", inst.addr, inst.op.mnemonic());
+    if let Some(d) = inst.dest {
+        s.push_str(&format!(" {d}"));
+    }
+    for src in inst.srcs.iter().flatten() {
+        s.push_str(&format!(" {src}"));
+    }
+    if let Some(CtrlAttr {
+        target: Some(t), ..
+    }) = inst.ctrl
+    {
+        s.push_str(&format!(" -> {t}"));
+    }
+    if inst.imm != 0 {
+        s.push_str(&format!(" #{}", inst.imm));
+    }
+    s
+}
+
 /// Code-size statistics for a layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LayoutStats {
@@ -757,5 +780,33 @@ mod tests {
             materialized_jumps: 0,
         };
         assert!((stats.pad_pct() - 20.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn disasm_renders_operands_target_and_immediate() {
+        let jump = LaidInst {
+            addr: Addr::new(0x1000),
+            op: OpClass::Jump,
+            dest: None,
+            srcs: [None, None],
+            imm: 0,
+            ctrl: Some(CtrlAttr {
+                branch_id: None,
+                inverted: false,
+                target: Some(Addr::new(0x2000)),
+            }),
+            block: BlockId(0),
+        };
+        assert_eq!(disasm(&jump), "0x00001000: jmp -> 0x00002000");
+        let alu = LaidInst {
+            addr: Addr::new(0x1004),
+            op: OpClass::IntAlu,
+            dest: Some(Reg::int(5)),
+            srcs: [Some(Reg::int(6)), Some(Reg::fp(7))],
+            imm: -3,
+            ctrl: None,
+            block: BlockId(0),
+        };
+        assert_eq!(disasm(&alu), "0x00001004: alu r5 r6 f7 #-3");
     }
 }

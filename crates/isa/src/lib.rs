@@ -6,8 +6,9 @@
 //!
 //! This crate provides everything the fetch and pipeline simulators consume:
 //!
-//! * a small fixed-32-bit RISC instruction set ([`OpClass`], [`Reg`],
-//!   [`encode()`](encode())/[`decode`]),
+//! * a small RISC instruction set ([`OpClass`], [`Reg`]) whose fixed 32-bit
+//!   format is modelled as geometry only: every instruction is
+//!   [`WORD_BYTES`] long, and [`disasm`] renders one as text,
 //! * control-flow graphs ([`Program`], [`Block`], [`Terminator`]) with stable
 //!   branch identities ([`BranchId`]) that survive compiler transforms,
 //! * code layout ([`Layout`]) — block ordering, jump materialization/elision,
@@ -49,7 +50,6 @@
 pub mod addr;
 pub mod cfg;
 pub mod dom;
-pub mod encode;
 pub mod hash;
 pub mod hooks;
 pub mod layout;
@@ -65,10 +65,9 @@ pub use cfg::{
     ProgramEdit, RawProgram, Terminator, ValidateError,
 };
 pub use dom::Dominators;
-pub use encode::{decode, disasm, encode, encode_image, DecodeError, Decoded, EncodeError};
 pub use hash::{fnv1a64, fnv1a64_extend, FNV_OFFSET, FNV_PRIME};
 pub use layout::{
-    CtrlAttr, LaidInst, Layout, LayoutError, LayoutOptions, LayoutStats, PadMode, RawLayout,
+    disasm, CtrlAttr, LaidInst, Layout, LayoutError, LayoutOptions, LayoutStats, PadMode, RawLayout,
 };
 pub use op::{FuClass, OpClass};
 pub use reg::{Reg, NUM_FP_REGS, NUM_INT_REGS};

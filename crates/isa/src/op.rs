@@ -164,12 +164,6 @@ impl OpClass {
         )
     }
 
-    /// Returns `true` for control transfers that are *always* taken.
-    #[must_use]
-    pub fn is_unconditional(self) -> bool {
-        matches!(self, OpClass::Jump | OpClass::Call | OpClass::Return)
-    }
-
     /// Returns `true` for floating-point arithmetic.
     #[must_use]
     pub fn is_fp(self) -> bool {
@@ -228,18 +222,8 @@ mod tests {
     }
 
     #[test]
-    fn unconditional_implies_control() {
-        for op in OpClass::ALL {
-            if op.is_unconditional() {
-                assert!(op.is_control(), "{op}");
-            }
-        }
-    }
-
-    #[test]
-    fn cond_branch_is_not_unconditional() {
+    fn cond_branch_is_control() {
         assert!(OpClass::CondBranch.is_control());
-        assert!(!OpClass::CondBranch.is_unconditional());
     }
 
     #[test]

@@ -51,7 +51,7 @@
 use std::collections::HashMap;
 use std::ops::Range;
 
-use crate::addr::{Addr, WORD_BYTES};
+use crate::addr::Addr;
 use crate::op::OpClass;
 use crate::trace::DynInst;
 
@@ -188,19 +188,6 @@ impl SegTemplate {
     pub fn next_pc(&self) -> Addr {
         self.insts.last().expect("non-empty").next_pc
     }
-
-    /// Signed displacement, in instruction words, from a taken terminal to
-    /// its destination. `None` for cut or not-taken terminals.
-    #[must_use]
-    pub fn target_displacement_words(&self) -> Option<i64> {
-        let t = self.terminal()?;
-        let c = t.ctrl.expect("terminal has ctrl");
-        c.taken.then(|| {
-            let from = t.addr.byte() as i64;
-            let to = c.target.byte() as i64;
-            (to - from) / WORD_BYTES as i64
-        })
-    }
 }
 
 /// Aggregate stream statistics — compression accounting for BENCH files and
@@ -278,12 +265,6 @@ impl BlockStream {
     #[must_use]
     pub fn template(&self, id: u32) -> &SegTemplate {
         &self.templates[id as usize]
-    }
-
-    /// Template executed by record `rec`.
-    #[must_use]
-    pub fn record_template(&self, rec: usize) -> &SegTemplate {
-        self.template(self.records[rec])
     }
 
     /// Total dynamic instructions represented.
@@ -522,12 +503,10 @@ mod tests {
         let s = BlockStream::from_insts(&trace);
         assert_eq!(s.records().len(), 3);
         assert_eq!(s.total_insts(), 5);
-        let segs: Vec<_> = (0..3).map(|r| s.record_template(r)).collect();
+        let segs: Vec<_> = s.records().iter().map(|&id| s.template(id)).collect();
         assert_eq!(segs[0].len(), 2);
         assert_eq!(segs[0].terminal().unwrap().addr, Addr::new(0x104));
-        assert_eq!(segs[0].target_displacement_words(), Some(63)); // 0x104 -> 0x200
         assert_eq!(segs[1].len(), 1);
-        assert_eq!(segs[1].target_displacement_words(), None); // not taken
         assert!(segs[2].is_cut());
         assert_eq!(segs[2].len(), 2);
         assert_eq!(s.materialize(), trace);
@@ -574,7 +553,7 @@ mod tests {
             branch(0x110, true, 0x100),
         ];
         let s = BlockStream::from_insts(&trace);
-        let t = s.record_template(0);
+        let t = s.template(s.records()[0]);
         assert_eq!(t.op_count(OpClass::IntAlu), 1);
         assert_eq!(t.op_count(OpClass::Nop), 2);
         assert_eq!(t.op_count(OpClass::Load), 1);
@@ -593,7 +572,7 @@ mod tests {
         let trace = vec![branch(0x100, true, 0x300)];
         let s = BlockStream::from_insts(&trace);
         assert_eq!(s.records().len(), 1);
-        let t = s.record_template(0);
+        let t = s.template(s.records()[0]);
         assert_eq!(t.len(), 1);
         assert!(!t.is_cut());
         assert_eq!(t.start_addr(), Addr::new(0x100));
@@ -610,7 +589,7 @@ mod tests {
         let trace = vec![alu(0x100), alu(0x500), branch(0x504, false, 0x100)];
         let s = BlockStream::from_insts(&trace);
         assert_eq!(s.records().len(), 1);
-        assert!(!s.record_template(0).sequential());
+        assert!(!s.template(s.records()[0]).sequential());
         assert_eq!(s.materialize(), trace);
     }
 

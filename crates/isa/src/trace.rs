@@ -85,7 +85,7 @@ impl DynInst {
     /// paper's Table 2 sense. Returns `false` for non-control or not-taken
     /// instructions.
     #[must_use]
-    pub fn is_intra_block_taken(&self, block_bytes: u64) -> bool {
+    pub(crate) fn is_intra_block_taken(&self, block_bytes: u64) -> bool {
         match self.ctrl {
             Some(c) if c.taken => self.addr.same_block(c.target, block_bytes),
             _ => false,

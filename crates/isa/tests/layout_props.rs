@@ -1,12 +1,11 @@
 //! Property tests for code layout over randomly-generated programs: address
-//! assignment, target resolution, padding alignment, jump elision, and
-//! whole-image encoding roundtrips.
+//! assignment, target resolution, padding alignment, and jump elision.
 
 use std::collections::HashSet;
 
 use fetchmech_isa::{
-    decode, encode_image, Addr, BlockId, Inst, Layout, LayoutOptions, OpClass, PadMode, Program,
-    ProgramBuilder, Reg, Terminator, WORD_BYTES,
+    Addr, BlockId, Inst, Layout, LayoutOptions, OpClass, PadMode, Program, ProgramBuilder, Reg,
+    Terminator, WORD_BYTES,
 };
 use proptest::prelude::*;
 
@@ -161,26 +160,6 @@ proptest! {
         for inst in layout.code() {
             if inst.op == OpClass::Nop {
                 prop_assert!(ends.contains(&inst.block), "stray nop after {}", inst.block);
-            }
-        }
-    }
-
-    /// The whole laid-out image encodes, and decoding every word recovers
-    /// the op, operands, and control targets.
-    #[test]
-    fn whole_image_encoding_roundtrips(program in arb_program()) {
-        let layout = Layout::natural(&program, LayoutOptions::new(16)).expect("layout");
-        let words = encode_image(layout.code()).expect("encodable image");
-        prop_assert_eq!(words.len(), layout.code().len());
-        for (inst, word) in layout.code().iter().zip(&words) {
-            let d = decode(*word, inst.addr).expect("decodable");
-            prop_assert_eq!(d.op, inst.op);
-            if !inst.op.is_control() && inst.op != OpClass::Halt {
-                prop_assert_eq!(d.dest, inst.dest);
-                prop_assert_eq!(d.srcs, inst.srcs);
-            }
-            if matches!(inst.op, OpClass::CondBranch | OpClass::Jump | OpClass::Call) {
-                prop_assert_eq!(d.target, inst.ctrl.expect("ctrl").target);
             }
         }
     }

@@ -150,14 +150,13 @@ impl MachineModel {
         CacheConfig::new(self.icache_bytes, self.block_bytes, banks)
     }
 
-    /// The BTB configuration (1024 entries, 2-bit counters, interleaved by
-    /// instructions-per-block).
+    /// The BTB configuration: `btb_entries` entries (1024 in the paper's
+    /// machines), 2-bit counters.
     #[must_use]
     pub fn btb_config(&self) -> BtbConfig {
         BtbConfig {
             entries: self.btb_entries,
             counter_bits: 2,
-            interleave: self.insts_per_block(),
         }
     }
 
@@ -274,7 +273,6 @@ mod tests {
         let c = MachineModel::p18().btb_config();
         assert_eq!(c.entries, 1024);
         assert_eq!(c.counter_bits, 2);
-        assert_eq!(c.interleave, 8);
     }
 
     #[test]

@@ -71,7 +71,7 @@ impl SchemeKind {
     /// the one-block sequential scheme, `Some(2)` for the paired schemes,
     /// `None` (unbounded) for the perfect front end.
     #[must_use]
-    pub fn max_packet_blocks(self) -> Option<u32> {
+    pub(crate) fn max_packet_blocks(self) -> Option<u32> {
         match self {
             SchemeKind::Sequential => Some(1),
             SchemeKind::InterleavedSequential

@@ -193,7 +193,7 @@ impl BehaviorMap {
     ///
     /// Panics if an origin map is set and `id` is out of its range.
     #[must_use]
-    pub fn origin_of(&self, id: BranchId) -> BranchId {
+    pub(crate) fn origin_of(&self, id: BranchId) -> BranchId {
         if self.origin.is_empty() {
             id
         } else {
@@ -237,7 +237,7 @@ impl BehaviorMap {
     /// Number of *base* branches — the index space runtime state
     /// ([`BehaviorState`]) must cover, since aliased branches share slots.
     #[must_use]
-    pub fn state_len(&self) -> usize {
+    pub(crate) fn state_len(&self) -> usize {
         self.models.len()
     }
 
@@ -257,7 +257,7 @@ impl BehaviorMap {
     /// statistics, exactly the property profile-driven optimization relies
     /// on.
     #[must_use]
-    pub fn for_input(&self, input: u32, magnitude: f64) -> BehaviorMap {
+    pub(crate) fn for_input(&self, input: u32, magnitude: f64) -> BehaviorMap {
         let models = self
             .models
             .iter()

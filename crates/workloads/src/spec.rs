@@ -80,8 +80,9 @@ pub struct WorkloadSpec {
     pub call_prob: f64,
     /// How many recently-written registers sources may reach back to.
     pub dep_locality: usize,
-    /// Perturbation magnitude distinguishing program inputs (see
-    /// [`BehaviorMap::for_input`]).
+    /// Perturbation magnitude distinguishing program inputs: each input
+    /// shifts branch probabilities (absolutely) and loop trip counts
+    /// (relatively) by up to this much.
     pub input_magnitude: f64,
 }
 
@@ -189,8 +190,8 @@ pub struct Workload {
     pub spec: WorkloadSpec,
     /// The control-flow graph.
     pub program: Program,
-    /// Base behaviour of every conditional branch (perturb per input with
-    /// [`BehaviorMap::for_input`]).
+    /// Base behaviour of every conditional branch; each program input
+    /// executes a perturbed copy of it.
     pub behaviors: BehaviorMap,
 }
 

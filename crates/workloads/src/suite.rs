@@ -30,7 +30,7 @@ pub const FP_NAMES: [&str; 6] = ["doduc", "mdljdp2", "nasa7", "ora", "tomcatv", 
 
 /// Returns the spec for a named benchmark, or `None` for unknown names.
 #[must_use]
-pub fn spec_for(name: &str) -> Option<WorkloadSpec> {
+pub(crate) fn spec_for(name: &str) -> Option<WorkloadSpec> {
     let mut s = match name {
         // ---- integer ----------------------------------------------------
         "bison" => {
@@ -206,7 +206,7 @@ pub fn benchmark(name: &str) -> Option<Workload> {
 
 /// Generates the nine integer benchmarks.
 #[must_use]
-pub fn int_suite() -> Vec<Workload> {
+pub(crate) fn int_suite() -> Vec<Workload> {
     INT_NAMES
         .iter()
         .map(|n| benchmark(n).expect("known name"))
@@ -215,7 +215,7 @@ pub fn int_suite() -> Vec<Workload> {
 
 /// Generates the six floating-point benchmarks.
 #[must_use]
-pub fn fp_suite() -> Vec<Workload> {
+pub(crate) fn fp_suite() -> Vec<Workload> {
     FP_NAMES
         .iter()
         .map(|n| benchmark(n).expect("known name"))

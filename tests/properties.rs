@@ -3,91 +3,10 @@
 
 use proptest::prelude::*;
 
-use fetchmech::isa::layout::{CtrlAttr, LaidInst};
-use fetchmech::isa::{
-    decode, encode, Addr, BlockId, BranchId, Layout, LayoutOptions, OpClass, Reg,
-};
+use fetchmech::isa::{Layout, LayoutOptions, OpClass};
 use fetchmech::pipeline::MachineModel;
 use fetchmech::workloads::{InputId, Workload, WorkloadSpec};
 use fetchmech::{simulate, SchemeKind};
-
-// ---- encoding ------------------------------------------------------------
-
-fn arb_reg() -> impl Strategy<Value = Reg> {
-    (0usize..64).prop_map(Reg::from_file_index)
-}
-
-fn arb_body_op() -> impl Strategy<Value = OpClass> {
-    prop_oneof![
-        Just(OpClass::IntAlu),
-        Just(OpClass::IntMul),
-        Just(OpClass::FpAdd),
-        Just(OpClass::FpMul),
-        Just(OpClass::Load),
-        Just(OpClass::Store),
-        Just(OpClass::Nop),
-    ]
-}
-
-prop_compose! {
-    fn arb_body_inst()(
-        op in arb_body_op(),
-        dest in proptest::option::of(arb_reg()),
-        s0 in proptest::option::of(arb_reg()),
-        s1 in proptest::option::of(arb_reg()),
-        imm in -32i8..=31,
-        word in 0u64..(1 << 20),
-    ) -> LaidInst {
-        let (dest, imm) = if op == OpClass::Nop { (None, 0) } else { (dest, imm) };
-        let srcs = if op == OpClass::Nop { [None, None] } else { [s0, s1] };
-        LaidInst {
-            addr: Addr::from_word_index(word),
-            op,
-            dest,
-            srcs,
-            imm,
-            ctrl: None,
-            block: BlockId(0),
-        }
-    }
-}
-
-proptest! {
-    #[test]
-    fn body_encoding_roundtrips(inst in arb_body_inst()) {
-        let word = encode(&inst).expect("encodable");
-        let d = decode(word, inst.addr).expect("decodable");
-        prop_assert_eq!(d.op, inst.op);
-        if inst.op != OpClass::Nop {
-            prop_assert_eq!(d.dest, inst.dest);
-            prop_assert_eq!(d.srcs, inst.srcs);
-            prop_assert_eq!(d.imm, inst.imm);
-        }
-    }
-
-    #[test]
-    fn branch_encoding_roundtrips(
-        word in 4096u64..(1 << 20),
-        disp in -4096i64..=4095,
-        s0 in proptest::option::of(arb_reg()),
-    ) {
-        let addr = Addr::from_word_index(word);
-        let target = Addr::from_word_index((word as i64 + disp) as u64);
-        let inst = LaidInst {
-            addr,
-            op: OpClass::CondBranch,
-            dest: None,
-            srcs: [s0, None],
-            imm: 0,
-            ctrl: Some(CtrlAttr { branch_id: Some(BranchId(0)), inverted: false, target: Some(target) }),
-            block: BlockId(0),
-        };
-        let d = decode(encode(&inst).expect("encodable"), addr).expect("decodable");
-        prop_assert_eq!(d.op, OpClass::CondBranch);
-        prop_assert_eq!(d.target, Some(target));
-        prop_assert_eq!(d.srcs[0], s0);
-    }
-}
 
 // ---- json ----------------------------------------------------------------
 
