@@ -145,4 +145,9 @@ fi
 echo "chaos stats:"
 cat BENCH_PR7.json
 
+echo "==> differential oracle in release (optimized fast path vs per-instruction reference)"
+# The debug test stage compares the two simulators too, but only the release
+# build compiles the fast path the way users run it (inlined across crates).
+cargo test --release -q -p fetchmech --test block_stream_oracle --test block_stream_props
+
 echo "CI checks passed."

@@ -12,11 +12,13 @@ pub struct BtbConfig {
 }
 
 impl BtbConfig {
+    #[inline]
     fn counter_max(&self) -> u8 {
         (1u16 << self.counter_bits) as u8 - 1
     }
 
     /// Threshold at or above which a counter predicts taken.
+    #[inline]
     fn taken_threshold(&self) -> u8 {
         1u8 << (self.counter_bits - 1)
     }
@@ -54,6 +56,7 @@ pub struct Prediction {
 impl Prediction {
     /// The not-taken / BTB-miss prediction.
     #[must_use]
+    #[inline]
     pub(crate) fn not_taken() -> Self {
         Self {
             taken: false,
@@ -113,6 +116,7 @@ impl Btb {
         &self.config
     }
 
+    #[inline]
     fn slot(&self, addr: Addr) -> usize {
         let entries = self.config.entries as u64;
         let w = addr.word_index();
@@ -131,6 +135,7 @@ impl Btb {
     /// * Hit, conditional ⇒ taken iff the 2-bit counter is in a taken state.
     /// * Hit, unconditional (`is_cond == false`) ⇒ always predicted taken to
     ///   the cached target.
+    #[inline]
     pub fn predict(&mut self, addr: Addr, is_cond: bool) -> Prediction {
         self.stats.lookups += 1;
         let slot = self.slot(addr);
@@ -155,6 +160,7 @@ impl Btb {
     /// Non-mutating variant of [`Btb::predict`] (no statistics update),
     /// used by the fetch unit's block-level comparator chain.
     #[must_use]
+    #[inline]
     pub fn peek(&self, addr: Addr, is_cond: bool) -> Prediction {
         let slot = self.slot(addr);
         match self.entries[slot] {
@@ -180,6 +186,7 @@ impl Btb {
     /// never-taken branch never occupies an entry). On a hit, conditional
     /// counters saturate toward the outcome and the cached target is
     /// refreshed when the transfer was taken.
+    #[inline]
     pub fn update(&mut self, addr: Addr, is_cond: bool, taken: bool, target: Addr) {
         self.stats.updates += 1;
         let slot = self.slot(addr);

@@ -73,6 +73,7 @@ impl CacheConfig {
 
     /// Number of blocks (sets, for a direct-mapped cache).
     #[must_use]
+    #[inline]
     pub fn num_sets(&self) -> u64 {
         self.size_bytes / self.block_bytes
     }
@@ -86,6 +87,7 @@ impl CacheConfig {
     /// Bank holding the block that contains `addr` (block-index parity
     /// interleaving, as in Figure 4 of the paper).
     #[must_use]
+    #[inline]
     pub fn bank_of(&self, addr: Addr) -> u32 {
         // `banks` is validated to be a power of two.
         (addr.block_index(self.block_bytes) & u64::from(self.banks - 1)) as u32
@@ -116,6 +118,7 @@ pub enum Access {
 impl Access {
     /// Returns `true` for [`Access::Hit`].
     #[must_use]
+    #[inline]
     pub fn is_hit(self) -> bool {
         self == Access::Hit
     }
@@ -156,6 +159,7 @@ impl ICache {
     }
 
     /// Accesses the block containing `addr`, filling it on a miss.
+    #[inline]
     pub fn access(&mut self, addr: Addr) -> Access {
         self.stats.accesses += 1;
         // Size and block bytes are powers of two, so set selection is a

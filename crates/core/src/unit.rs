@@ -223,10 +223,10 @@ impl FrontEnd {
     /// query whenever the predictions are correct; when they are wrong the
     /// packet ends at the mispredicted branch and the successor block is
     /// irrelevant to delivered instructions.
-    fn predicted_successor(
+    fn predicted_successor<'a>(
         &mut self,
         fetch_block: Addr,
-        peek: &mut impl FnMut(usize) -> Option<DynInst>,
+        peek: &mut impl FnMut(usize) -> Option<&'a DynInst>,
     ) -> Addr {
         let bs = self.cfg.block_bytes;
         let mut i = 0usize;
@@ -349,11 +349,11 @@ impl FrontEnd {
     /// block (recording a miss stall and returning `None` on a miss), runs
     /// the perfect scheme's prefetches, and selects the second readable
     /// block per scheme.
-    fn open_region(
+    fn open_region<'a>(
         &mut self,
         cycle: u64,
         pc: Addr,
-        mut peek: impl FnMut(usize) -> Option<DynInst>,
+        mut peek: impl FnMut(usize) -> Option<&'a DynInst>,
     ) -> Option<Region> {
         let scheme = self.cfg.scheme;
         let bs = self.cfg.block_bytes;
@@ -603,10 +603,7 @@ impl AlignedFetchUnit {
         };
         let bs = self.fe.cfg.block_bytes;
         let cursor = &self.cursor;
-        let Some(mut region) = self
-            .fe
-            .open_region(cycle, first.addr, |i| cursor.peek(i).copied())
-        else {
+        let Some(mut region) = self.fe.open_region(cycle, first.addr, |i| cursor.peek(i)) else {
             return FetchPacket::empty();
         };
 
@@ -878,14 +875,14 @@ impl BlockFetchUnit {
         let cursor = &self.cursor;
         let mut ahead = cursor.iter_ahead();
         let mut ahead_next = 0usize;
-        let peek_seq = move |i: usize| -> Option<DynInst> {
+        let peek_seq = move |i: usize| -> Option<&DynInst> {
             debug_assert!(i >= ahead_next, "open_region peeks must be monotonic");
             while ahead_next < i {
                 ahead.next()?;
                 ahead_next += 1;
             }
             ahead_next = i + 1;
-            ahead.next().copied()
+            ahead.next()
         };
         let Some(mut region) = self.fe.open_region(cycle, first_addr, peek_seq) else {
             return FetchOutcome::Stalled {

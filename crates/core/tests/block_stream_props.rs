@@ -72,19 +72,55 @@ fn arb_spec() -> impl Strategy<Value = WorkloadSpec> {
         })
 }
 
+/// A machine: a paper model, or (one draw in two) a paper model's issue
+/// rate and cache geometry with its core and speculation resized — window
+/// 1–80, ROB from the window to twice it plus up to 40 (so past 64 entries,
+/// where the core's ready bitsets span several words), 1–4 units per class
+/// drawn independently (one-unit classes starve), and speculation depth
+/// 0–8.
+fn arb_machine() -> impl Strategy<Value = MachineModel> {
+    (
+        0usize..3,
+        any::<bool>(),
+        1u32..=80,
+        0u32..=120,
+        (1u32..=4, 1u32..=4, 1u32..=4, 1u32..=4),
+        0u32..=8,
+    )
+        .prop_map(
+            |(base, reshape, window, extra, (fxu, fpu, branch_units, mem_units), spec_depth)| {
+                let paper = [MachineModel::p14, MachineModel::p18, MachineModel::p112][base]();
+                if !reshape {
+                    return paper;
+                }
+                MachineModel {
+                    name: format!("{}-shape", paper.name),
+                    window,
+                    rob: window + extra.min(window + 40),
+                    fxu,
+                    fpu,
+                    branch_units,
+                    mem_units,
+                    spec_depth,
+                    ..paper
+                }
+            },
+        )
+}
+
 proptest! {
-    #![proptest_config(proptest::test_runner::Config::with_cases(48))]
+    #![proptest_config(proptest::test_runner::Config::with_cases(96))]
 
     /// `simulate` and `measure_eir` agree with `simulate_reference` and
-    /// `measure_eir_reference` on randomized CFGs, field for field.
+    /// `measure_eir_reference` on randomized CFGs and machines, field for
+    /// field.
     #[test]
     fn random_cfgs_simulate_identically(
         spec in arb_spec(),
-        machine_idx in 0usize..3,
+        machine in arb_machine(),
         scheme_idx in 0usize..5,
         input in 0u32..4,
     ) {
-        let machine = [MachineModel::p14, MachineModel::p18, MachineModel::p112][machine_idx]();
         let scheme = SchemeKind::ALL[scheme_idx];
         let w = Workload::generate(spec);
         let layout = Layout::natural(&w.program, LayoutOptions::new(machine.block_bytes))

@@ -46,12 +46,14 @@ impl Addr {
 
     /// Returns the instruction-word index (`byte / 4`).
     #[must_use]
+    #[inline]
     pub const fn word_index(self) -> u64 {
         self.0 / WORD_BYTES
     }
 
     /// Returns the address advanced by `n` instruction words.
     #[must_use]
+    #[inline]
     pub const fn add_words(self, n: u64) -> Self {
         Self(self.0 + n * WORD_BYTES)
     }
@@ -63,6 +65,7 @@ impl Addr {
     ///
     /// Panics if `block_bytes` is not a power of two.
     #[must_use]
+    #[inline]
     pub fn block_base(self, block_bytes: u64) -> Self {
         assert!(
             block_bytes.is_power_of_two(),
@@ -77,6 +80,7 @@ impl Addr {
     ///
     /// Panics if `block_bytes` is not a power of two.
     #[must_use]
+    #[inline]
     pub fn block_index(self, block_bytes: u64) -> u64 {
         assert!(
             block_bytes.is_power_of_two(),

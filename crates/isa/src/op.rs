@@ -124,6 +124,7 @@ impl OpClass {
     /// but do no work), matching how padding nops consume decoder bandwidth
     /// in the paper's pad-all/pad-trace study.
     #[must_use]
+    #[inline]
     pub fn fu_class(self) -> FuClass {
         match self {
             OpClass::IntAlu | OpClass::IntMul | OpClass::Nop | OpClass::Halt => FuClass::Fxu,
@@ -138,6 +139,7 @@ impl OpClass {
     /// Returns the execution latency in cycles (Table 1 plus DESIGN.md §1 for
     /// the parameters the paper leaves unspecified).
     #[must_use]
+    #[inline]
     pub fn latency(self) -> u32 {
         match self {
             OpClass::IntAlu
@@ -157,6 +159,7 @@ impl OpClass {
     /// Returns `true` for control-transfer instructions (anything the fetch
     /// unit must treat as a potential redirect).
     #[must_use]
+    #[inline]
     pub fn is_control(self) -> bool {
         matches!(
             self,

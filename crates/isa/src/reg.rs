@@ -72,6 +72,7 @@ impl Reg {
     /// Returns a dense index over both files: `0..32` for integer registers,
     /// `32..64` for floating-point. Useful for flat rename tables.
     #[must_use]
+    #[inline]
     pub fn file_index(self) -> usize {
         match self {
             Reg::Int(n) => n as usize,

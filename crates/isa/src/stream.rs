@@ -119,12 +119,14 @@ impl SegTemplate {
 
     /// The exact dynamic instructions of this segment.
     #[must_use]
+    #[inline]
     pub fn insts(&self) -> &[DynInst] {
         &self.insts
     }
 
     /// Number of instructions in the segment.
     #[must_use]
+    #[inline]
     pub fn len(&self) -> usize {
         self.insts.len()
     }
@@ -143,12 +145,14 @@ impl SegTemplate {
 
     /// Count of instructions of one op class.
     #[must_use]
+    #[inline]
     pub fn op_count(&self, op: OpClass) -> u32 {
         self.counts[op.index()]
     }
 
     /// Number of nops in the half-open instruction range `range`.
     #[must_use]
+    #[inline]
     pub fn nops_in(&self, range: Range<usize>) -> u32 {
         match &self.nop_prefix {
             Some(prefix) => prefix[range.end] - prefix[range.start],
@@ -159,6 +163,7 @@ impl SegTemplate {
     /// The terminal control transfer, or `None` for a segment cut short by
     /// the end of the trace.
     #[must_use]
+    #[inline]
     pub fn terminal(&self) -> Option<&DynInst> {
         let last = self.insts.last().expect("non-empty");
         last.ctrl.is_some().then_some(last)
@@ -173,6 +178,7 @@ impl SegTemplate {
 
     /// True when every non-terminal instruction falls through contiguously.
     #[must_use]
+    #[inline]
     pub fn sequential(&self) -> bool {
         self.sequential
     }
@@ -257,12 +263,14 @@ impl BlockStream {
 
     /// The dynamic record sequence (template ids).
     #[must_use]
+    #[inline]
     pub fn records(&self) -> &[u32] {
         &self.records
     }
 
     /// Template for a given id.
     #[must_use]
+    #[inline]
     pub fn template(&self, id: u32) -> &SegTemplate {
         &self.templates[id as usize]
     }

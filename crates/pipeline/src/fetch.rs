@@ -216,6 +216,7 @@ impl BlockCursor {
     /// # Panics
     ///
     /// Panics if fewer than `n` instructions remain.
+    #[inline]
     pub fn consume(&mut self, n: usize) {
         let records = self.stream.records();
         let mut k = self.off + n;
@@ -236,6 +237,7 @@ impl BlockCursor {
 
     /// Returns `true` when the stream is exhausted.
     #[must_use]
+    #[inline]
     pub fn is_done(&self) -> bool {
         self.rec >= self.stream.records().len()
     }
@@ -249,18 +251,21 @@ impl BlockCursor {
     /// Index of the record the cursor is positioned in (equal to the record
     /// count once exhausted).
     #[must_use]
+    #[inline]
     pub fn record_index(&self) -> usize {
         self.rec
     }
 
     /// Offset within the current record's template (0 when exhausted).
     #[must_use]
+    #[inline]
     pub fn offset(&self) -> usize {
         self.off
     }
 
     /// Iterates the instructions ahead of the cursor (inclusive of the
     /// current position) without consuming.
+    #[inline]
     pub fn iter_ahead(&self) -> impl Iterator<Item = &DynInst> + '_ {
         let records = self.stream.records();
         let first = records.get(self.rec).map(|&id| {
@@ -282,6 +287,7 @@ impl BlockCursor {
 
     /// Borrows the underlying stream without touching the refcount.
     #[must_use]
+    #[inline]
     pub fn stream(&self) -> &BlockStream {
         &self.stream
     }

@@ -369,35 +369,52 @@ impl OooCore {
 /// Sequence-number sentinel for "no dependence" in [`StreamCore`].
 const SEQ_NONE: u64 = u64::MAX;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SState {
-    InWindow,
-    Exec,
-    Done,
+/// End-of-list sentinel for [`StreamCore`]'s waiter links.
+const LINK_NONE: u32 = u32::MAX;
+
+/// Dense index of a functional-unit class: the row of its ready bitset.
+fn class_index(class: FuClass) -> usize {
+    match class {
+        FuClass::Fxu => 0,
+        FuClass::Fpu => 1,
+        FuClass::Branch => 2,
+        FuClass::Mem => 3,
+    }
 }
 
-#[derive(Debug, Clone)]
+/// Sets or clears the bits of `mask` in `word`.
+#[inline]
+fn assign_bits(word: &mut u64, mask: u64, on: bool) {
+    *word = (*word & !mask) | (mask * u64::from(on));
+}
+
+/// One ROB ring slot of [`StreamCore`]. Its timing facts (unit class,
+/// latency, conditional branch) are decoded once at dispatch; the latency
+/// and the conditional flag live in the core's slot bitsets.
+#[derive(Debug, Clone, Copy)]
 struct SEntry {
-    op: OpClass,
+    /// [`class_index`] of the op's functional unit.
+    class: u8,
     mispredicted: bool,
-    deps: [u64; 2],
-    state: SState,
-    /// Head of the intrusive list of entries waiting on this one to
-    /// complete (`SEQ_NONE` = none). Drained when this entry completes.
-    waiter_head: u64,
-    /// Next entry waiting on the same producer as this one.
-    next_waiter: u64,
+    /// Producers this entry still waits on (0–2); it is ready once this
+    /// reaches 0.
+    waiting: u8,
+    /// Head of the list of consumer links waiting on this entry to complete
+    /// (`LINK_NONE` = none). A link is `slot << 1 | source`, so an entry
+    /// waiting on two producers sits on two lists at once.
+    waiter_head: u32,
+    /// Next link after this entry's own link, per source.
+    next_waiter: [u32; 2],
 }
 
 impl SEntry {
     /// Filler for unoccupied ring slots.
     const IDLE: Self = Self {
-        op: OpClass::Nop,
+        class: 0,
         mispredicted: false,
-        deps: [SEQ_NONE; 2],
-        state: SState::Done,
-        waiter_head: SEQ_NONE,
-        next_waiter: SEQ_NONE,
+        waiting: 0,
+        waiter_head: LINK_NONE,
+        next_waiter: [LINK_NONE; 2],
     };
 }
 
@@ -408,17 +425,24 @@ impl SEntry {
 /// engineered for the hot loop:
 ///
 /// * the ROB is a power-of-two ring indexed by `seq & mask` — no deque
-///   arithmetic, no per-entry allocation or destruction, and dependence
-///   readiness is a masked index lookup instead of a `HashSet` probe;
-/// * completions are event-driven through a small `done_at` bucket ring
-///   (maximum latency is 2 cycles) instead of an every-cycle ROB scan;
-/// * wakeup is event-driven too: a not-ready entry parks on an intrusive
-///   waiter list hanging off the producer it is blocked on, and is moved to
-///   the ready list when that producer completes — each dependence edge is
-///   examined O(1) times total instead of once per cycle;
-/// * [`fire`](Self::fire) walks only the *ready* list (age-ordered) and
-///   reports whether a ready entry was *starved* of a functional unit, which
-///   is what lets the simulator loop skip provably-idle cycles;
+///   arithmetic and no per-entry allocation or destruction. Each op is
+///   decoded once at dispatch; per-slot facts the cycle phases need
+///   (completed, 2-cycle latency, conditional branch, has waiters) are
+///   bitsets over ring slots, so they are read a word at a time;
+/// * wakeup is counted: an entry records how many producers it still waits
+///   on and hangs one link per outstanding source on that producer's waiter
+///   list. A completion decrements each waiter's count once, and the count
+///   reaching zero makes it ready — each dependence edge costs O(1) in total;
+/// * ready entries are one bitset per functional-unit class.
+///   [`fire`](Self::fire) takes a whole class when its units suffice, and
+///   otherwise its oldest `units` bits counting from the ROB head. Unit
+///   classes never compete, so this fires the same set as an oldest-first
+///   walk over every ready entry. It reports whether a ready entry was
+///   *starved* of a unit, which is what lets the simulator loop skip
+///   provably-idle cycles;
+/// * completions are event-driven: fired slots are OR-ed into a ring of
+///   four `done_at` bitsets (maximum latency is 2 cycles) instead of an
+///   every-cycle ROB scan;
 /// * [`next_completion`](Self::next_completion) and
 ///   [`front_retirable`](Self::front_retirable) expose the information the
 ///   skip logic needs to stay exact (retirement of a completed backlog
@@ -426,25 +450,45 @@ impl SEntry {
 #[derive(Debug)]
 pub struct StreamCore {
     cfg: OooConfig,
+    /// Functional units per class, by [`class_index`].
+    units: [u32; 4],
     /// Oldest in-flight sequence number; live slots are
     /// `front_seq..next_seq`.
     front_seq: u64,
     next_seq: u64,
-    /// Ring of in-flight entries, indexed by `seq & rob_mask`.
+    /// Ring of in-flight entries, indexed by `seq & rob_mask`; at least 64
+    /// slots, so every bitset word lies wholly inside the ring.
     rob: Box<[SEntry]>,
     rob_mask: u64,
-    /// Sequence numbers of `InWindow` entries whose dependences have all
-    /// completed, ascending (age order). Entries with an outstanding
-    /// dependence are parked on that producer's waiter list instead.
-    ready: Vec<u64>,
+    /// `u64` words per slot bitset.
+    words: usize,
+    /// `InWindow` entries whose producers have all completed: one bitset
+    /// per class, row `class`. Entries still waiting on a producer are on
+    /// its waiter list instead.
+    ready: Box<[u64]>,
+    /// Set bits in each class's ready bitset.
+    ready_count: [u32; 4],
+    /// Slots that completed execution.
+    done: Box<[u64]>,
+    /// Slots whose op has a 2-cycle latency (the rest take 1).
+    slow: Box<[u64]>,
+    /// Slots holding a conditional branch.
+    cond: Box<[u64]>,
+    /// Slots with a non-empty waiter list.
+    waited: Box<[u64]>,
+    /// Slots fired this cycle (scratch for [`fire`](Self::fire)).
+    fired: Box<[u64]>,
+    /// Completion events: row `done_at & 3` holds the slots completing at
+    /// `bucket_at[row]`, and `bucket_live[row]` says the row is non-empty.
+    /// Pending `done_at`s always lie within 2 cycles, so a ring of 4 is
+    /// unambiguous.
+    completing: Box<[u64]>,
+    bucket_at: [u64; 4],
+    bucket_live: [bool; 4],
     /// Count of `InWindow` entries (ready or waiting).
     in_window: u32,
     last_writer: [u64; 64],
     unresolved_cond: u32,
-    /// Completion events keyed by `done_at & 3`; pending `done_at`s always
-    /// lie within 2 cycles, so a ring of 4 is unambiguous.
-    buckets: [Vec<(u64, u64)>; 4],
-    pending: u32,
     stats: OooStats,
 }
 
@@ -464,26 +508,52 @@ impl StreamCore {
             cfg.fxu > 0 && cfg.fpu > 0 && cfg.branch_units > 0 && cfg.mem_units > 0,
             "every unit class needs at least one unit"
         );
+        let slots = (cfg.rob as usize).next_power_of_two().max(64);
+        let words = slots / 64;
+        let bitset = |rows: usize| vec![0; rows * words].into_boxed_slice();
         Self {
             cfg,
+            units: [cfg.fxu, cfg.fpu, cfg.branch_units, cfg.mem_units],
             front_seq: 0,
             next_seq: 0,
-            rob: vec![SEntry::IDLE; (cfg.rob as usize).next_power_of_two()].into_boxed_slice(),
-            rob_mask: (cfg.rob as u64).next_power_of_two() - 1,
-            ready: Vec::with_capacity(cfg.window as usize),
+            rob: vec![SEntry::IDLE; slots].into_boxed_slice(),
+            rob_mask: slots as u64 - 1,
+            words,
+            ready: bitset(4),
+            ready_count: [0; 4],
+            done: bitset(1),
+            slow: bitset(1),
+            cond: bitset(1),
+            waited: bitset(1),
+            fired: bitset(1),
+            completing: bitset(4),
+            bucket_at: [0; 4],
+            bucket_live: [false; 4],
             in_window: 0,
             last_writer: [SEQ_NONE; 64],
             unresolved_cond: 0,
-            buckets: [Vec::new(), Vec::new(), Vec::new(), Vec::new()],
-            pending: 0,
             stats: OooStats::default(),
         }
     }
 
-    /// Returns the configuration.
-    #[must_use]
-    pub fn config(&self) -> &OooConfig {
-        &self.cfg
+    /// Ring slot of sequence number `seq`.
+    #[inline]
+    fn slot(&self, seq: u64) -> usize {
+        (seq & self.rob_mask) as usize
+    }
+
+    /// Whether `slot`'s bit is set in the one-row bitset `bits`.
+    #[inline]
+    fn bit(bits: &[u64], slot: usize) -> bool {
+        (bits[slot / 64] >> (slot % 64)) & 1 == 1
+    }
+
+    /// Marks ring slot `slot` ready in its class's bitset.
+    #[inline]
+    fn set_ready(&mut self, slot: usize) {
+        let class = usize::from(self.rob[slot].class);
+        self.ready_count[class] += 1;
+        self.ready[class * self.words + slot / 64] |= 1 << (slot % 64);
     }
 
     /// Completes instructions finishing at `cycle`, then retires up to
@@ -492,67 +562,67 @@ impl StreamCore {
     /// resolved this cycle.
     pub fn begin_cycle(&mut self, cycle: u64, watched: Option<u64>) -> bool {
         let mut watched_resolved = false;
-        let mut bucket = std::mem::take(&mut self.buckets[(cycle & 3) as usize]);
-        self.pending -= bucket.len() as u32;
-        for &(done_at, seq) in &bucket {
-            debug_assert_eq!(done_at, cycle, "completion event missed its cycle");
-            let e = &mut self.rob[(seq & self.rob_mask) as usize];
-            debug_assert_eq!(e.state, SState::Exec);
-            e.state = SState::Done;
-            let mut waiter = std::mem::replace(&mut e.waiter_head, SEQ_NONE);
-            if e.op == OpClass::CondBranch {
-                self.unresolved_cond -= 1;
-            }
-            if Some(seq) == watched {
-                debug_assert!(e.mispredicted);
-                watched_resolved = true;
-            }
-            // Wake the entries parked on this producer: each either becomes
-            // ready (all deps now done) or re-parks on its other
-            // still-outstanding dependence.
-            while waiter != SEQ_NONE {
-                let widx = (waiter & self.rob_mask) as usize;
-                let next = std::mem::replace(&mut self.rob[widx].next_waiter, SEQ_NONE);
-                let deps = self.rob[widx].deps;
-                match deps.into_iter().find(|&d| !self.dep_done(d)) {
-                    None => {
-                        let pos = self.ready.partition_point(|&s| s < waiter);
-                        self.ready.insert(pos, waiter);
-                    }
-                    Some(d) => self.park_waiter(d, waiter),
+        let b = (cycle & 3) as usize;
+        if self.bucket_live[b] {
+            debug_assert_eq!(
+                self.bucket_at[b], cycle,
+                "completion event missed its cycle"
+            );
+            self.bucket_live[b] = false;
+            // The watched entry is in flight, so its ring slot names it.
+            let watched = watched.map(|seq| self.slot(seq));
+            for w in 0..self.words {
+                let completed = std::mem::take(&mut self.completing[b * self.words + w]);
+                if completed == 0 {
+                    continue;
                 }
-                waiter = next;
+                debug_assert_eq!(completed & self.done[w], 0, "completed twice");
+                self.done[w] |= completed;
+                self.unresolved_cond -= (completed & self.cond[w]).count_ones();
+                if let Some(ws) = watched {
+                    if ws / 64 == w && (completed >> (ws % 64)) & 1 == 1 {
+                        debug_assert!(self.rob[ws].mispredicted);
+                        watched_resolved = true;
+                    }
+                }
+                // Each link is one (consumer, source) edge on a completed
+                // producer: count it off, and the consumer is ready when
+                // none is left.
+                let mut producers = completed & self.waited[w];
+                self.waited[w] &= !completed;
+                while producers != 0 {
+                    let slot = w * 64 + producers.trailing_zeros() as usize;
+                    producers &= producers - 1;
+                    let mut link = std::mem::replace(&mut self.rob[slot].waiter_head, LINK_NONE);
+                    while link != LINK_NONE {
+                        let consumer = (link >> 1) as usize;
+                        let e = &mut self.rob[consumer];
+                        link = e.next_waiter[(link & 1) as usize];
+                        e.waiting -= 1;
+                        if e.waiting == 0 {
+                            self.set_ready(consumer);
+                        }
+                    }
+                }
             }
         }
-        bucket.clear();
-        self.buckets[(cycle & 3) as usize] = bucket;
         let mut retired = 0;
         while retired < self.cfg.issue_rate
             && self.front_seq < self.next_seq
-            && self.rob[(self.front_seq & self.rob_mask) as usize].state == SState::Done
+            && Self::bit(&self.done, self.slot(self.front_seq))
         {
             self.front_seq += 1;
-            self.stats.retired += 1;
             retired += 1;
         }
+        self.stats.retired += u64::from(retired);
         watched_resolved
     }
 
     /// Returns `true` if `d` no longer gates issue: no dependence, already
     /// retired, or completed in the ROB.
+    #[inline]
     fn dep_done(&self, d: u64) -> bool {
-        d == SEQ_NONE
-            || d < self.front_seq
-            || self.rob[(d & self.rob_mask) as usize].state == SState::Done
-    }
-
-    /// Parks `seq` on `producer`'s waiter list; it is woken (and re-examined)
-    /// when `producer` completes.
-    fn park_waiter(&mut self, producer: u64, seq: u64) {
-        let pidx = (producer & self.rob_mask) as usize;
-        debug_assert_ne!(self.rob[pidx].state, SState::Done);
-        let head = std::mem::replace(&mut self.rob[pidx].waiter_head, seq);
-        self.rob[(seq & self.rob_mask) as usize].next_waiter = head;
+        d == SEQ_NONE || d < self.front_seq || Self::bit(&self.done, self.slot(d))
     }
 
     /// Fires ready window entries into free functional units, oldest first.
@@ -560,49 +630,84 @@ impl StreamCore {
     /// such an entry fires on the next cycle, so idle-cycle skipping must be
     /// suppressed.
     pub fn fire(&mut self, cycle: u64) -> bool {
-        let mut avail = [
-            self.cfg.fxu,
-            self.cfg.fpu,
-            self.cfg.branch_units,
-            self.cfg.mem_units,
-        ];
+        let words = self.words;
         let mut starved = false;
-        let mut kept = 0;
-        for r in 0..self.ready.len() {
-            let seq = self.ready[r];
-            let idx = (seq & self.rob_mask) as usize;
-            let ci = match self.rob[idx].op.fu_class() {
-                FuClass::Fxu => 0,
-                FuClass::Fpu => 1,
-                FuClass::Branch => 2,
-                FuClass::Mem => 3,
-            };
-            if avail[ci] > 0 {
-                avail[ci] -= 1;
-                let e = &mut self.rob[idx];
-                e.state = SState::Exec;
-                let done_at = cycle + u64::from(e.op.latency());
-                self.buckets[(done_at & 3) as usize].push((done_at, seq));
-                self.pending += 1;
-                self.in_window -= 1;
+        let mut fired_count = 0;
+        for class in 0..4 {
+            let ready = self.ready_count[class];
+            let row = &mut self.ready[class * words..(class + 1) * words];
+            let units = self.units[class];
+            if ready <= units {
+                // Every ready entry of the class gets a unit.
+                for (f, r) in self.fired.iter_mut().zip(row.iter_mut()) {
+                    *f |= std::mem::take(r);
+                }
+                self.ready_count[class] = 0;
+                fired_count += ready;
                 continue;
             }
             starved = true;
-            self.ready[kept] = seq;
-            kept += 1;
+            fired_count += units;
+            self.ready_count[class] = ready - units;
+            // Age order from the head: the head word's bits at or above the
+            // head, the words after it (wrapping), then the head word's
+            // bits below the head.
+            let head = (self.front_seq & self.rob_mask) as usize;
+            let (head_word, head_bit) = (head / 64, head % 64);
+            let mut take = units;
+            for k in 0..=words {
+                let wi = (head_word + k) & (words - 1);
+                let mask = if k == 0 {
+                    u64::MAX << head_bit
+                } else if k == words {
+                    (1u64 << head_bit) - 1
+                } else {
+                    u64::MAX
+                };
+                let mut bits = row[wi] & mask;
+                while bits != 0 && take > 0 {
+                    let lowest = bits & bits.wrapping_neg();
+                    bits ^= lowest;
+                    row[wi] ^= lowest;
+                    self.fired[wi] |= lowest;
+                    take -= 1;
+                }
+                if take == 0 {
+                    break;
+                }
+            }
         }
-        self.ready.truncate(kept);
+        self.in_window -= fired_count;
+        if fired_count > 0 {
+            let (near, far) = (((cycle + 1) & 3) as usize, ((cycle + 2) & 3) as usize);
+            debug_assert!(
+                !self.bucket_live[near] || self.bucket_at[near] == cycle + 1,
+                "completion buckets alias"
+            );
+            for w in 0..words {
+                let fired = std::mem::take(&mut self.fired[w]);
+                let slow = fired & self.slow[w];
+                self.completing[near * words + w] |= fired & !slow;
+                self.completing[far * words + w] |= slow;
+                self.bucket_live[near] |= fired & !slow != 0;
+                self.bucket_live[far] |= slow != 0;
+            }
+            self.bucket_at[near] = cycle + 1;
+            self.bucket_at[far] = cycle + 2;
+        }
         starved
     }
 
     /// Returns `true` if both a window slot and a ROB slot are free.
     #[must_use]
+    #[inline]
     pub fn can_accept(&self) -> bool {
         self.in_window < self.cfg.window && self.next_seq - self.front_seq < u64::from(self.cfg.rob)
     }
 
     /// Dispatches one instruction, renaming its sources against the
     /// last-writer table. Returns the assigned sequence number.
+    #[inline]
     pub fn dispatch(
         &mut self,
         op: OpClass,
@@ -614,36 +719,56 @@ impl StreamCore {
         let seq = self.next_seq;
         self.next_seq += 1;
         let mut deps = [SEQ_NONE; 2];
-        for (slot, src) in srcs.iter().enumerate() {
+        for (source, src) in srcs.iter().enumerate() {
             if let Some(reg) = src {
-                deps[slot] = self.last_writer[reg.file_index()];
+                deps[source] = self.last_writer[reg.file_index()];
             }
         }
         if let Some(dest) = dest {
             self.last_writer[dest.file_index()] = seq;
         }
-        if op == OpClass::CondBranch {
-            self.unresolved_cond += 1;
+        // Both sources renamed to one producer: one edge, counted once.
+        if deps[1] == deps[0] {
+            deps[1] = SEQ_NONE;
         }
-        self.rob[(seq & self.rob_mask) as usize] = SEntry {
-            op,
+        let is_cond = op == OpClass::CondBranch;
+        self.unresolved_cond += u32::from(is_cond);
+        let latency = op.latency();
+        debug_assert!(
+            (1..=2).contains(&latency),
+            "bucket ring assumes latency <= 2"
+        );
+        let slot = self.slot(seq);
+        let (w, m) = (slot / 64, 1u64 << (slot % 64));
+        self.done[w] &= !m;
+        assign_bits(&mut self.slow[w], m, latency == 2);
+        assign_bits(&mut self.cond[w], m, is_cond);
+        debug_assert_eq!(self.waited[w] & m, 0, "a retired slot kept waiters");
+        let mut entry = SEntry {
+            class: class_index(op.fu_class()) as u8,
             mispredicted,
-            deps,
-            state: SState::InWindow,
-            waiter_head: SEQ_NONE,
-            next_waiter: SEQ_NONE,
+            ..SEntry::IDLE
         };
-        self.in_window += 1;
-        // `seq` is the newest entry, so a plain push keeps `ready` sorted.
-        match deps.into_iter().find(|&d| !self.dep_done(d)) {
-            None => self.ready.push(seq),
-            Some(d) => self.park_waiter(d, seq),
+        for (source, &d) in deps.iter().enumerate() {
+            if !self.dep_done(d) {
+                let p = self.slot(d);
+                self.waited[p / 64] |= 1 << (p % 64);
+                let link = ((slot as u32) << 1) | source as u32;
+                entry.next_waiter[source] = std::mem::replace(&mut self.rob[p].waiter_head, link);
+                entry.waiting += 1;
+            }
         }
+        self.rob[slot] = entry;
+        if entry.waiting == 0 {
+            self.set_ready(slot);
+        }
+        self.in_window += 1;
         self.stats.dispatched += 1;
         seq
     }
 
     /// Records `n` cycles in which dispatch was blocked by a full window.
+    #[inline]
     pub fn note_window_full(&mut self, n: u64) {
         self.stats.window_full_cycles += n;
     }
@@ -651,13 +776,13 @@ impl StreamCore {
     /// The earliest cycle at which an in-flight instruction completes, if
     /// any instruction is executing.
     #[must_use]
+    #[inline]
     pub fn next_completion(&self) -> Option<u64> {
-        if self.pending == 0 {
-            return None;
-        }
-        self.buckets
+        self.bucket_live
             .iter()
-            .flat_map(|b| b.iter().map(|&(done_at, _)| done_at))
+            .zip(self.bucket_at)
+            .filter(|&(&live, _)| live)
+            .map(|(_, at)| at)
             .min()
     }
 
@@ -665,19 +790,21 @@ impl StreamCore {
     /// on the next [`begin_cycle`](Self::begin_cycle) — cycles with a
     /// retirable backlog cannot be skipped.
     #[must_use]
+    #[inline]
     pub fn front_retirable(&self) -> bool {
-        self.front_seq < self.next_seq
-            && self.rob[(self.front_seq & self.rob_mask) as usize].state == SState::Done
+        self.front_seq < self.next_seq && Self::bit(&self.done, self.slot(self.front_seq))
     }
 
     /// Number of dispatched conditional branches not yet executed.
     #[must_use]
+    #[inline]
     pub fn unresolved_cond(&self) -> u32 {
         self.unresolved_cond
     }
 
     /// Returns `true` when no instructions remain in flight.
     #[must_use]
+    #[inline]
     pub fn drained(&self) -> bool {
         self.front_seq == self.next_seq
     }
@@ -920,85 +1047,138 @@ mod tests {
         assert_eq!(core.stats().retired, 2);
     }
 
+    /// A random core shape: issue 1–12, window 1–80, ROB from the window
+    /// to twice it (past 64, so the ready bitsets span several words), and
+    /// 1–4 units per class, drawn independently.
+    fn random_config(rng: &mut fetchmech_isa::rng::Pcg64) -> OooConfig {
+        let window = rng.range_u64(1, 81) as u32;
+        let mut units = || rng.range_u64(1, 5) as u32;
+        let (fxu, fpu, branch_units, mem_units) = (units(), units(), units(), units());
+        OooConfig {
+            issue_rate: rng.range_u64(1, 13) as u32,
+            window,
+            rob: rng.range_u64(u64::from(window), 2 * u64::from(window) + 1) as u32,
+            fxu,
+            fpu,
+            branch_units,
+            mem_units,
+        }
+    }
+
+    /// A random instruction over a few integer and FP registers; one control
+    /// transfer in three is flagged as mispredicted.
+    fn random_inst(rng: &mut fetchmech_isa::rng::Pcg64) -> FetchedInst {
+        let r = rng.next_u64();
+        let op = match r % 10 {
+            0 | 1 => OpClass::IntAlu,
+            2 => OpClass::IntMul,
+            3 => OpClass::FpAdd,
+            4 => OpClass::FpMul,
+            5 => OpClass::Load,
+            6 => OpClass::Store,
+            7 => OpClass::CondBranch,
+            8 => OpClass::Jump,
+            _ => OpClass::Call,
+        };
+        let reg = |bits: u64| {
+            if bits & 8 == 0 {
+                Reg::int((bits % 8) as u8)
+            } else {
+                Reg::fp((bits % 4) as u8)
+            }
+        };
+        let dest = (!(r >> 8).is_multiple_of(3)).then(|| reg(r >> 12));
+        let src = |shift: u32| {
+            (r >> shift)
+                .is_multiple_of(2)
+                .then(|| reg(r >> (shift + 1)))
+        };
+        let ctrl = op.is_control().then_some(DynCtrl {
+            branch_id: None,
+            taken: (r >> 40).is_multiple_of(2),
+            target: Addr::new(0x2000),
+            link: None,
+        });
+        FetchedInst {
+            inst: DynInst {
+                addr: Addr::new(0x1000),
+                op,
+                dest,
+                srcs: [src(24), src(32)],
+                next_pc: Addr::new(0x1004),
+                ctrl,
+            },
+            mispredicted: op.is_control() && (r >> 48).is_multiple_of(3),
+        }
+    }
+
     #[test]
     fn stream_core_matches_ooo_core_in_lockstep() {
         // Drive OooCore and StreamCore with an identical per-cycle policy
-        // over a deterministic pseudo-random instruction mix and demand
-        // cycle-exact agreement on every observable.
+        // over random core shapes and instruction mixes, and demand
+        // cycle-exact agreement on every observable — including the cycle
+        // on which each watched mispredicted transfer resolves.
         let mut rng = fetchmech_isa::rng::Pcg64::new(0x5eed_cafe);
-        for trial in 0..20 {
-            let n = 50 + (rng.next_u64() % 200) as usize;
-            let insts: Vec<FetchedInst> = (0..n)
-                .map(|_| {
-                    let r = rng.next_u64();
-                    let op = match r % 8 {
-                        0 | 1 => OpClass::IntAlu,
-                        2 => OpClass::FpAdd,
-                        3 => OpClass::FpMul,
-                        4 => OpClass::Load,
-                        5 => OpClass::Store,
-                        6 => OpClass::CondBranch,
-                        _ => OpClass::Jump,
-                    };
-                    let dest =
-                        (!(r >> 8).is_multiple_of(3)).then(|| Reg::int(((r >> 16) % 8) as u8));
-                    let src = |shift: u32| {
-                        (r >> shift)
-                            .is_multiple_of(2)
-                            .then(|| Reg::int(((r >> (shift + 4)) % 8) as u8))
-                    };
-                    let ctrl = op.is_control().then_some(DynCtrl {
-                        branch_id: None,
-                        taken: r.is_multiple_of(2),
-                        target: Addr::new(0x2000),
-                        link: None,
-                    });
-                    FetchedInst {
-                        inst: DynInst {
-                            addr: Addr::new(0x1000),
-                            op,
-                            dest,
-                            srcs: [src(24), src(32)],
-                            next_pc: Addr::new(0x1004),
-                            ctrl,
-                        },
-                        mispredicted: false,
-                    }
-                })
-                .collect();
+        for trial in 0..300 {
+            let cfg = random_config(&mut rng);
+            let n = rng.range_usize(50, 300);
+            let insts: Vec<FetchedInst> = (0..n).map(|_| random_inst(&mut rng)).collect();
 
-            let mut a = OooCore::new(cfg());
-            let mut b = StreamCore::new(cfg());
+            let mut a = OooCore::new(cfg);
+            let mut b = StreamCore::new(cfg);
+            // Dispatched mispredicted transfers not yet resolved, oldest
+            // first; the stream core watches the oldest, as the simulator
+            // loop does.
+            let mut unresolved = std::collections::VecDeque::new();
+            let mut watched_resolutions = 0;
             let mut next = 0;
             let mut cycle = 0u64;
             loop {
                 let resolved = a.begin_cycle(cycle);
-                b.begin_cycle(cycle, None);
-                let _ = resolved;
+                let watched = unresolved.front().copied();
+                let b_resolved = b.begin_cycle(cycle, watched);
+                let a_resolved = resolved
+                    .iter()
+                    .any(|r| Some(r.seq) == watched && r.mispredicted);
+                assert_eq!(
+                    b_resolved, a_resolved,
+                    "trial {trial} {cfg:?} cycle {cycle}: watched {watched:?} resolution"
+                );
+                watched_resolutions += usize::from(a_resolved);
+                unresolved.retain(|&s| !resolved.iter().any(|r| r.seq == s));
+                assert_eq!(
+                    a.stats().retired,
+                    b.stats().retired,
+                    "trial {trial} {cfg:?} cycle {cycle}: retired"
+                );
                 a.fire(cycle);
                 b.fire(cycle);
                 let mut dispatched = 0;
-                while next < insts.len() && dispatched < a.config().issue_rate && a.can_accept() {
+                while next < insts.len() && dispatched < cfg.issue_rate && a.can_accept() {
                     assert!(
                         b.can_accept(),
-                        "trial {trial} cycle {cycle}: accept mismatch"
+                        "trial {trial} {cfg:?} cycle {cycle}: accept mismatch"
                     );
-                    let sa = a.dispatch(&insts[next]);
-                    let i = &insts[next].inst;
-                    let sb = b.dispatch(i.op, i.dest, i.srcs, false);
+                    let f = &insts[next];
+                    let sa = a.dispatch(f);
+                    let i = &f.inst;
+                    let sb = b.dispatch(i.op, i.dest, i.srcs, f.mispredicted);
                     assert_eq!(sa, sb);
+                    if f.mispredicted {
+                        unresolved.push_back(sa);
+                    }
                     next += 1;
                     dispatched += 1;
                 }
                 assert_eq!(
                     a.can_accept(),
                     b.can_accept(),
-                    "trial {trial} cycle {cycle}"
+                    "trial {trial} {cfg:?} cycle {cycle}"
                 );
                 assert_eq!(
                     a.unresolved_cond(),
                     b.unresolved_cond(),
-                    "trial {trial} cycle {cycle}"
+                    "trial {trial} {cfg:?} cycle {cycle}"
                 );
                 assert_eq!(a.drained(), b.drained(), "trial {trial} cycle {cycle}");
                 a.audit_invariants().expect("oracle invariants");
@@ -1008,8 +1188,15 @@ mod tests {
                 }
                 assert!(cycle < 100_000, "runaway trial {trial}");
             }
-            assert_eq!(a.stats().retired, b.stats().retired, "trial {trial}");
-            assert_eq!(a.stats().dispatched, b.stats().dispatched);
+            assert!(
+                unresolved.is_empty(),
+                "trial {trial}: unresolved mispredicts"
+            );
+            assert!(
+                watched_resolutions > 0 || !insts.iter().any(|f| f.mispredicted),
+                "trial {trial}: no watched resolution was checked"
+            );
+            assert_eq!(a.stats(), b.stats(), "trial {trial}");
             assert!(b.drained());
             assert_eq!(b.next_completion(), None);
             assert!(!b.front_retirable());
