@@ -10,7 +10,7 @@
 //!   function; the solver iterates to the fixpoint over a [`CfgView`] in
 //!   reverse postorder (forward) or postorder (backward). See DESIGN.md §10
 //!   for the contract a new analysis must satisfy.
-//! * Concrete analyses: [`reachability`], [`Dominators`], [`Liveness`]
+//! * Concrete analyses: [`reachability`], [`Dominators`], `Liveness`
 //!   (with [`dead_writes`]), [`ReachingDefs`], and per-block
 //!   [`local_value_numbering`].
 //! * [`DataflowPass`] — derived lint rules over registry targets:
@@ -32,7 +32,7 @@ use crate::diag::{DiagnosticSink, Location, Severity};
 use crate::registry::{Pass, Target};
 
 /// Rule ids emitted by [`DataflowPass`].
-pub const DATAFLOW_RULES: &[&str] = &[
+pub(crate) const DATAFLOW_RULES: &[&str] = &[
     RULE_UNREACHABLE,
     RULE_DEAD_WRITE,
     RULE_PROFILE_UNREACHABLE,
@@ -40,13 +40,13 @@ pub const DATAFLOW_RULES: &[&str] = &[
 ];
 
 /// A basic block no path from the program entry can reach.
-pub const RULE_UNREACHABLE: &str = "dataflow.unreachable-block";
+pub(crate) const RULE_UNREACHABLE: &str = "dataflow.unreachable-block";
 /// A register write whose value is overwritten on every path before a read.
 pub const RULE_DEAD_WRITE: &str = "dataflow.dead-write";
 /// A profile that records executions of a statically unreachable block.
-pub const RULE_PROFILE_UNREACHABLE: &str = "dataflow.profile-unreachable-flow";
+pub(crate) const RULE_PROFILE_UNREACHABLE: &str = "dataflow.profile-unreachable-flow";
 /// A selected trace consisting entirely of unreachable blocks.
-pub const RULE_REDUNDANT_SEED: &str = "dataflow.redundant-seed";
+pub(crate) const RULE_REDUNDANT_SEED: &str = "dataflow.redundant-seed";
 
 // ---------------------------------------------------------------------------
 // The generic solver
@@ -257,7 +257,7 @@ pub use fetchmech_isa::Dominators;
 
 /// All 64 architectural registers, as a dense bitmask over
 /// [`Reg::file_index`].
-pub const ALL_REGS: u64 = u64::MAX;
+pub(crate) const ALL_REGS: u64 = u64::MAX;
 
 fn reg_bit(r: Reg) -> u64 {
     1u64 << r.file_index()
@@ -270,7 +270,7 @@ fn reg_bit(r: Reg) -> u64 {
 /// convention exists to say otherwise), so cross-function values are always
 /// live; see the module docs.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Liveness;
+pub(crate) struct Liveness;
 
 impl Liveness {
     /// Registers the terminator reads, as a mask — [`ALL_REGS`] for the
@@ -607,10 +607,8 @@ pub fn redundant_computations(program: &Program) -> usize {
 /// register writes at [`Severity::Info`] — generated workloads legitimately
 /// contain a few (round-robin destination allocation wraps), so the
 /// advisory rule is surfaced through `fetchmech-lint analyze` rather than
-/// the default lint run, following the [`SanitizerCatalogPass`] precedent
+/// the default lint run, following the sanitizer catalog pass's precedent
 /// of cataloging rules whose emission happens elsewhere.
-///
-/// [`SanitizerCatalogPass`]: crate::sanitize::SanitizerCatalogPass
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DataflowPass {
     advisory: bool,
@@ -662,7 +660,7 @@ impl Pass for DataflowPass {
     }
 }
 
-/// Emits [`RULE_UNREACHABLE`] for every block the entry cannot reach.
+/// Emits `dataflow.unreachable-block` for every block the entry cannot reach.
 pub fn check_unreachable(program: &Program, sink: &mut DiagnosticSink) {
     for (idx, reachable) in reachability(program).iter().enumerate() {
         if !reachable {
@@ -695,7 +693,7 @@ pub fn check_dead_writes(program: &Program, sink: &mut DiagnosticSink) {
     }
 }
 
-/// Emits [`RULE_PROFILE_UNREACHABLE`] when a profile records executions of
+/// Emits `dataflow.profile-unreachable-flow` when a profile records executions of
 /// a block static reachability proves can never run.
 pub fn check_profile_reachability(program: &Program, profile: &Profile, sink: &mut DiagnosticSink) {
     let reachable = reachability(program);
@@ -713,7 +711,7 @@ pub fn check_profile_reachability(program: &Program, profile: &Profile, sink: &m
     }
 }
 
-/// Emits [`RULE_REDUNDANT_SEED`] for traces consisting entirely of
+/// Emits `dataflow.redundant-seed` for traces consisting entirely of
 /// unreachable blocks — their seed was redundant, and laying them out
 /// wastes cache space on code that can never run.
 pub fn check_trace_seeds(program: &Program, traces: &[Trace], sink: &mut DiagnosticSink) {
@@ -989,6 +987,6 @@ mod tests {
         let w = suite::benchmark("espresso").expect("known");
         let mut sink = DiagnosticSink::new();
         DataflowPass::default().run(&Target::Program(&w.program), &mut sink);
-        assert!(sink.diagnostics().is_empty());
+        assert!(sink.into_diagnostics().is_empty());
     }
 }

@@ -99,7 +99,7 @@ impl DiagnosticSink {
     }
 
     /// Emits a diagnostic.
-    pub fn emit(
+    pub(crate) fn emit(
         &mut self,
         rule_id: &'static str,
         severity: Severity,
@@ -115,12 +115,22 @@ impl DiagnosticSink {
     }
 
     /// Emits an error-severity diagnostic.
-    pub fn error(&mut self, rule_id: &'static str, location: Location, message: impl Into<String>) {
+    pub(crate) fn error(
+        &mut self,
+        rule_id: &'static str,
+        location: Location,
+        message: impl Into<String>,
+    ) {
         self.emit(rule_id, Severity::Error, location, message);
     }
 
     /// Emits a warning-severity diagnostic.
-    pub fn warn(&mut self, rule_id: &'static str, location: Location, message: impl Into<String>) {
+    pub(crate) fn warn(
+        &mut self,
+        rule_id: &'static str,
+        location: Location,
+        message: impl Into<String>,
+    ) {
         self.emit(rule_id, Severity::Warning, location, message);
     }
 
@@ -128,12 +138,6 @@ impl DiagnosticSink {
     #[must_use]
     pub fn into_diagnostics(self) -> Vec<Diagnostic> {
         self.diags
-    }
-
-    /// Returns the diagnostics collected so far.
-    #[must_use]
-    pub fn diagnostics(&self) -> &[Diagnostic] {
-        &self.diags
     }
 }
 

@@ -8,7 +8,7 @@ use crate::diag::{DiagnosticSink, Location};
 use crate::registry::{Pass, Target};
 
 /// Rule ids emitted by [`FlowPass`].
-pub const FLOW_RULES: &[&str] = &[
+pub(crate) const FLOW_RULES: &[&str] = &[
     "profile.dims",
     "profile.taken-le-total",
     "profile.branch-vs-block",
@@ -35,7 +35,7 @@ fn within_tolerance(a: u64, b: u64) -> bool {
 /// sanity, Kirchhoff balance of estimated inflow versus measured block counts,
 /// and trace-selection preconditions.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct FlowPass;
+pub(crate) struct FlowPass;
 
 impl Pass for FlowPass {
     fn name(&self) -> &'static str {
@@ -71,7 +71,7 @@ impl Pass for FlowPass {
 }
 
 /// Runs the profile rules (everything except trace preconditions).
-pub fn check_profile(program: &Program, profile: &Profile, sink: &mut DiagnosticSink) {
+pub(crate) fn check_profile(program: &Program, profile: &Profile, sink: &mut DiagnosticSink) {
     // profile.dims: the count vectors must match the program. Everything
     // below indexes by these dimensions, so bail out on mismatch.
     let mut dims_ok = true;

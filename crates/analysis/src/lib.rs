@@ -14,11 +14,9 @@
 //!   reporters ([`report_human`]; the JSON reporter lives in the core
 //!   crate's shared `fetchmech::json` module),
 //! * a [`Registry`] of [`Pass`]es over typed [`Target`]s,
-//! * three pass families: structural ([`structural::ProgramPass`],
-//!   [`structural::LayoutPass`]), profile flow conservation
-//!   ([`flow::FlowPass`]), and transform equivalence
-//!   ([`transform::TracesPass`], [`transform::TransformPass`],
-//!   [`transform::TraceDiffPass`]),
+//! * three pass families: structural (`ProgramPass`, `LayoutPass`), profile
+//!   flow conservation (`FlowPass`), and transform equivalence
+//!   (`TracesPass`, `TransformPass`, `TraceDiffPass`),
 //! * translation validation for the compiler's SSA-era pass pipeline
 //!   ([`optverify::OptVerifyPass`]): an SSA well-formedness lint, per-pass
 //!   re-proof of every declared edit, profile flow conservation across each
@@ -54,16 +52,16 @@
 //! ```
 
 pub mod dataflow;
-pub mod diag;
-pub mod flow;
-pub mod geometry;
-pub mod hooks;
-pub mod optverify;
-pub mod registry;
+pub(crate) mod diag;
+pub(crate) mod flow;
+pub(crate) mod geometry;
+pub(crate) mod hooks;
+pub(crate) mod optverify;
+pub(crate) mod registry;
 pub mod sanitize;
-pub mod stream;
-pub mod structural;
-pub mod transform;
+pub(crate) mod stream;
+pub(crate) mod structural;
+pub(crate) mod transform;
 
 pub use dataflow::{
     dead_writes, liveness, local_value_numbering, reachability, Analysis, DataflowPass, Direction,

@@ -124,7 +124,7 @@ pub struct Registry {
 impl Registry {
     /// Creates an empty registry.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -147,7 +147,7 @@ impl Registry {
     }
 
     /// Appends a pass.
-    pub fn register(&mut self, pass: Box<dyn Pass>) {
+    pub(crate) fn register(&mut self, pass: Box<dyn Pass>) {
         self.passes.push(pass);
     }
 
@@ -159,7 +159,7 @@ impl Registry {
 
     /// Runs every applicable pass over `target` and returns the findings.
     #[must_use]
-    pub fn run(&self, target: &Target<'_>) -> Vec<Diagnostic> {
+    pub(crate) fn run(&self, target: &Target<'_>) -> Vec<Diagnostic> {
         self.run_filtered(target, |_| true)
     }
 

@@ -278,12 +278,6 @@ impl CycleSanitizer {
         }
     }
 
-    /// The environment this sanitizer replays rules against.
-    #[must_use]
-    pub fn env(&self) -> &FetchEnv {
-        &self.env
-    }
-
     fn report(&mut self, rule: &'static str, cycle: u64, message: String) {
         if !self.cfg.is_enabled(rule) {
             return;
@@ -857,7 +851,7 @@ pub fn check_static_bound(
 /// registering it gives the rules a catalog entry (`fetchmech-lint --list`)
 /// and keeps their ids inside the registry's uniqueness check.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SanitizerCatalogPass;
+pub(crate) struct SanitizerCatalogPass;
 
 /// Rule-id slice for [`SanitizerCatalogPass::rules`] (the trait wants a
 /// `&'static [&'static str]`, [`RULES`] carries summaries too).

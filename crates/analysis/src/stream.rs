@@ -15,7 +15,7 @@ use crate::diag::{DiagnosticSink, Location};
 use crate::registry::{Pass, Target};
 
 /// Rule ids emitted by [`StreamPass`].
-pub const STREAM_RULES: &[&str] = &[
+pub(crate) const STREAM_RULES: &[&str] = &[
     "stream.record-template-range",
     "stream.total-insts",
     "stream.cut-final-only",

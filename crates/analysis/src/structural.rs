@@ -9,7 +9,7 @@ use crate::diag::{DiagnosticSink, Location, Severity};
 use crate::registry::{Pass, Target};
 
 /// Rule ids emitted by [`ProgramPass`].
-pub const PROGRAM_RULES: &[&str] = &[
+pub(crate) const PROGRAM_RULES: &[&str] = &[
     "prog.block-id-dense",
     "prog.func-valid",
     "prog.entry-valid",
@@ -27,7 +27,7 @@ pub const PROGRAM_RULES: &[&str] = &[
 /// Structural verifier over a [`Program`]: id density, edge sanity,
 /// reachability, branch-id bookkeeping, and terminator totality.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ProgramPass;
+pub(crate) struct ProgramPass;
 
 impl Pass for ProgramPass {
     fn name(&self) -> &'static str {
@@ -67,7 +67,7 @@ impl Pass for ProgramPass {
 }
 
 /// Runs every [`ProgramPass`] rule over `program`.
-pub fn check_program(program: &Program, sink: &mut DiagnosticSink) {
+pub(crate) fn check_program(program: &Program, sink: &mut DiagnosticSink) {
     let n = program.num_blocks();
     let nf = program.num_funcs();
     let in_range = |b: BlockId| (b.0 as usize) < n;
@@ -296,7 +296,7 @@ pub fn check_program(program: &Program, sink: &mut DiagnosticSink) {
 }
 
 /// Rule ids emitted by [`LayoutPass`].
-pub const LAYOUT_RULES: &[&str] = &[
+pub(crate) const LAYOUT_RULES: &[&str] = &[
     "layout.order-permutation",
     "layout.addr-monotonic",
     "layout.addr-aligned",
@@ -311,7 +311,7 @@ pub const LAYOUT_RULES: &[&str] = &[
 /// alignment, block-address consistency, target resolution, control
 /// attributes, and §4.1 nop-padding alignment.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct LayoutPass;
+pub(crate) struct LayoutPass;
 
 impl Pass for LayoutPass {
     fn name(&self) -> &'static str {
@@ -339,7 +339,7 @@ impl Pass for LayoutPass {
 }
 
 /// Runs every [`LayoutPass`] rule over `layout`.
-pub fn check_layout(program: &Program, layout: &Layout, sink: &mut DiagnosticSink) {
+pub(crate) fn check_layout(program: &Program, layout: &Layout, sink: &mut DiagnosticSink) {
     let n = program.num_blocks();
 
     // layout.order-permutation.

@@ -9,7 +9,7 @@ use crate::diag::{DiagnosticSink, Location};
 use crate::registry::{Pass, Target};
 
 /// Rule ids emitted by [`TracesPass`].
-pub const TRACES_RULES: &[&str] = &[
+pub(crate) const TRACES_RULES: &[&str] = &[
     "traces.nonempty",
     "traces.partition",
     "traces.same-func",
@@ -19,7 +19,7 @@ pub const TRACES_RULES: &[&str] = &[
 /// Postcondition verifier for trace selection: traces partition the blocks,
 /// stay within one function, and follow real CFG edges.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct TracesPass;
+pub(crate) struct TracesPass;
 
 impl Pass for TracesPass {
     fn name(&self) -> &'static str {
@@ -47,7 +47,7 @@ impl Pass for TracesPass {
 }
 
 /// Runs every [`TracesPass`] rule.
-pub fn check_traces(program: &Program, traces: &[Trace], sink: &mut DiagnosticSink) {
+pub(crate) fn check_traces(program: &Program, traces: &[Trace], sink: &mut DiagnosticSink) {
     let n = program.num_blocks();
     let mut seen = vec![false; n];
     for (ti, trace) in traces.iter().enumerate() {
@@ -121,7 +121,7 @@ pub fn check_traces(program: &Program, traces: &[Trace], sink: &mut DiagnosticSi
 }
 
 /// Rule ids emitted by [`TransformPass`].
-pub const TRANSFORM_RULES: &[&str] = &[
+pub(crate) const TRANSFORM_RULES: &[&str] = &[
     "xform.isomorphic",
     "xform.body-preserved",
     "xform.terminator-equiv",
@@ -134,7 +134,7 @@ pub const TRANSFORM_RULES: &[&str] = &[
 /// must be the original CFG modulo branch-sense inversion, and the layout
 /// order must be a permutation.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct TransformPass;
+pub(crate) struct TransformPass;
 
 impl Pass for TransformPass {
     fn name(&self) -> &'static str {
@@ -339,13 +339,13 @@ pub(crate) fn check_transform(
 }
 
 /// Rule ids emitted by [`TraceDiffPass`].
-pub const TRACE_DIFF_RULES: &[&str] = &["xform.trace-equiv", "xform.trace-overlap"];
+pub(crate) const TRACE_DIFF_RULES: &[&str] = &["xform.trace-equiv", "xform.trace-overlap"];
 
 /// Dynamic equivalence verifier: executes a workload before and after
 /// reordering and diffs the projected (non-control, non-nop) instruction
 /// streams — the deterministic semantics reordering must preserve.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct TraceDiffPass;
+pub(crate) struct TraceDiffPass;
 
 impl Pass for TraceDiffPass {
     fn name(&self) -> &'static str {

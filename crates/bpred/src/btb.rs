@@ -110,12 +110,6 @@ impl Btb {
         }
     }
 
-    /// Returns the configuration.
-    #[must_use]
-    pub fn config(&self) -> &BtbConfig {
-        &self.config
-    }
-
     #[inline]
     fn slot(&self, addr: Addr) -> usize {
         let entries = self.config.entries as u64;
@@ -226,12 +220,6 @@ impl Btb {
     pub fn stats(&self) -> BtbStats {
         self.stats
     }
-
-    /// Clears all entries and statistics.
-    pub fn reset(&mut self) {
-        self.entries.fill(None);
-        self.stats = BtbStats::default();
-    }
 }
 
 #[cfg(test)]
@@ -335,14 +323,6 @@ mod tests {
         let peeked = b.peek(a, true);
         assert_eq!(b.stats().lookups, before);
         assert_eq!(peeked, b.predict(a, true));
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut b = btb();
-        b.update(Addr::new(0x100), true, true, Addr::new(0x800));
-        b.reset();
-        assert!(!b.predict(Addr::new(0x100), true).hit);
     }
 
     #[test]

@@ -40,27 +40,6 @@ impl Default for GshareConfig {
     }
 }
 
-/// Gshare statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct GshareStats {
-    /// Direction predictions made.
-    pub predictions: u64,
-    /// Predictions that matched the outcome.
-    pub correct: u64,
-}
-
-impl GshareStats {
-    /// Direction accuracy in `[0, 1]`.
-    #[must_use]
-    pub fn accuracy(&self) -> f64 {
-        if self.predictions == 0 {
-            0.0
-        } else {
-            self.correct as f64 / self.predictions as f64
-        }
-    }
-}
-
 /// The gshare predictor.
 ///
 /// # Examples
@@ -73,8 +52,7 @@ impl GshareStats {
 /// let pc = Addr::new(0x1000);
 /// // Train past the point where the global history saturates to all-taken.
 /// for _ in 0..64 {
-///     let predicted = g.predict(pc);
-///     g.update(pc, true, predicted);
+///     g.update(pc, true);
 /// }
 /// assert!(g.predict(pc), "an always-taken branch trains to taken");
 /// ```
@@ -83,7 +61,6 @@ pub struct Gshare {
     config: GshareConfig,
     table: Vec<u8>,
     history: u64,
-    stats: GshareStats,
 }
 
 impl Gshare {
@@ -103,14 +80,7 @@ impl Gshare {
             config,
             table: vec![1; 1 << config.index_bits],
             history: 0,
-            stats: GshareStats::default(),
         }
-    }
-
-    /// Returns the configuration.
-    #[must_use]
-    pub fn config(&self) -> &GshareConfig {
-        &self.config
     }
 
     fn index(&self, addr: Addr) -> usize {
@@ -138,13 +108,7 @@ impl Gshare {
     }
 
     /// Trains with the resolved outcome and shifts the global history.
-    /// `predicted` is the direction previously returned for this branch
-    /// (used only for statistics).
-    pub fn update(&mut self, addr: Addr, taken: bool, predicted: bool) {
-        self.stats.predictions += 1;
-        if predicted == taken {
-            self.stats.correct += 1;
-        }
+    pub fn update(&mut self, addr: Addr, taken: bool) {
         let idx = self.index(addr);
         let c = &mut self.table[idx];
         if taken {
@@ -153,12 +117,6 @@ impl Gshare {
             *c = c.saturating_sub(1);
         }
         self.history = (self.history << 1) | u64::from(taken);
-    }
-
-    /// Returns accumulated statistics.
-    #[must_use]
-    pub fn stats(&self) -> GshareStats {
-        self.stats
     }
 }
 
@@ -175,7 +133,6 @@ pub struct Tournament {
     /// PC-indexed chooser: >= 2 selects gshare, < 2 selects bimodal.
     chooser: Vec<u8>,
     index_mask: u64,
-    stats: GshareStats,
 }
 
 impl Tournament {
@@ -191,7 +148,6 @@ impl Tournament {
             // up faster, and the chooser migrates hard branches to gshare.
             chooser: vec![1; entries],
             index_mask: entries as u64 - 1,
-            stats: GshareStats::default(),
         }
     }
 
@@ -211,11 +167,7 @@ impl Tournament {
     }
 
     /// Trains both components and the chooser with the resolved outcome.
-    pub fn update(&mut self, addr: Addr, taken: bool, predicted: bool) {
-        self.stats.predictions += 1;
-        if predicted == taken {
-            self.stats.correct += 1;
-        }
+    pub fn update(&mut self, addr: Addr, taken: bool) {
         let idx = self.pc_index(addr);
         let g_pred = self.gshare.predict(addr);
         let b_pred = self.bimodal[idx] >= 2;
@@ -235,13 +187,7 @@ impl Tournament {
         } else {
             *b = b.saturating_sub(1);
         }
-        self.gshare.update(addr, taken, g_pred);
-    }
-
-    /// Returns accumulated statistics.
-    #[must_use]
-    pub fn stats(&self) -> GshareStats {
-        self.stats
+        self.gshare.update(addr, taken);
     }
 }
 
@@ -294,11 +240,9 @@ mod tests {
         let pc = Addr::new(0x1000);
         // More iterations than history bits, so the final index is trained.
         for _ in 0..64 {
-            let p = g.predict(pc);
-            g.update(pc, true, p);
+            g.update(pc, true);
         }
         assert!(g.predict(pc));
-        assert!(g.stats().accuracy() > 0.5);
     }
 
     #[test]
@@ -317,7 +261,7 @@ mod tests {
             if i >= 1000 && p == taken {
                 correct_tail += 1;
             }
-            g.update(pc, taken, p);
+            g.update(pc, taken);
         }
         assert!(
             correct_tail > 950,
@@ -338,20 +282,9 @@ mod tests {
             if i >= 2000 && p == taken {
                 correct_tail += 1;
             }
-            g.update(pc, taken, p);
+            g.update(pc, taken);
         }
         assert!(correct_tail > 1900, "loop pattern: {correct_tail}/2000");
-    }
-
-    #[test]
-    fn stats_track_accuracy() {
-        let mut g = Gshare::new(GshareConfig::default());
-        let pc = Addr::new(0x100);
-        let p = g.predict(pc);
-        g.update(pc, p, p);
-        assert_eq!(g.stats().predictions, 1);
-        assert_eq!(g.stats().correct, 1);
-        assert_eq!(g.stats().accuracy(), 1.0);
     }
 
     #[test]
@@ -383,7 +316,7 @@ mod tests {
                 t_correct += u32::from(tp == taken);
                 b_correct += u32::from(bp == taken);
             }
-            t.update(pc, taken, tp);
+            t.update(pc, taken);
             let c = &mut bimodal_only[idx];
             if taken {
                 *c = (*c + 1).min(3)
@@ -408,7 +341,7 @@ mod tests {
             if i >= 2000 && p == taken {
                 correct_tail += 1;
             }
-            t.update(pc, taken, p);
+            t.update(pc, taken);
         }
         // A per-branch 2-bit counter gets ~50% here; the tournament's gshare
         // side learns the alternation and the chooser routes to it.

@@ -36,8 +36,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod btb;
-pub mod gshare;
+pub(crate) mod btb;
+pub(crate) mod gshare;
 
 pub use btb::{Btb, BtbConfig, BtbStats, Prediction};
-pub use gshare::{Gshare, GshareConfig, GshareStats, PredictorKind, Tournament};
+pub use gshare::{Gshare, GshareConfig, PredictorKind, Tournament};

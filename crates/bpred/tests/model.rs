@@ -126,8 +126,8 @@ proptest! {
                 g_ok += usize::from(gp == taken);
                 t_ok += usize::from(tp == taken);
             }
-            gshare.update(addr, taken, gp);
-            tourney.update(addr, taken, tp);
+            gshare.update(addr, taken);
+            tourney.update(addr, taken);
         }
         // 92/8 biases: chance is 50%, oracle-static is 92%.
         prop_assert!(g_ok * 100 > total * 70, "gshare {g_ok}/{total}");

@@ -78,12 +78,6 @@ impl CacheConfig {
         self.size_bytes / self.block_bytes
     }
 
-    /// Instructions per cache block.
-    #[must_use]
-    pub fn insts_per_block(&self) -> u64 {
-        self.block_bytes / fetchmech_isa::WORD_BYTES
-    }
-
     /// Bank holding the block that contains `addr` (block-index parity
     /// interleaving, as in Figure 4 of the paper).
     #[must_use]
@@ -199,12 +193,6 @@ impl ICache {
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
-
-    /// Invalidates every block and clears statistics.
-    pub fn reset(&mut self) {
-        self.tags.fill(None);
-        self.stats = CacheStats::default();
-    }
 }
 
 #[cfg(test)]
@@ -270,19 +258,10 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_contents_and_stats() {
-        let mut c = small();
-        c.access(Addr::new(0x40));
-        c.reset();
-        assert!(!c.probe(Addr::new(0x40)));
-        assert_eq!(c.stats(), CacheStats::default());
-    }
-
-    #[test]
     fn paper_geometries_are_constructible() {
         for (size, block) in [(32 * 1024, 16), (64 * 1024, 32), (128 * 1024, 64)] {
             let c = ICache::new(CacheConfig::new(size, block, 2));
-            assert_eq!(c.config().insts_per_block() * 4, block);
+            assert_eq!(c.config().num_sets() * block, size);
         }
     }
 

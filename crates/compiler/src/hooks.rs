@@ -17,19 +17,19 @@ use crate::reorder::Reordered;
 use crate::traceselect::Trace;
 
 /// Verification callback for collected [`Profile`]s.
-pub type ProfileHook = fn(&Program, &Profile) -> Result<(), String>;
+pub(crate) type ProfileHook = fn(&Program, &Profile) -> Result<(), String>;
 
 /// Verification callback for trace-selection output.
-pub type TracesHook = fn(&Program, &[Trace]) -> Result<(), String>;
+pub(crate) type TracesHook = fn(&Program, &[Trace]) -> Result<(), String>;
 
 /// Verification callback for reorder output (original program first).
-pub type ReorderHook = fn(&Program, &Reordered) -> Result<(), String>;
+pub(crate) type ReorderHook = fn(&Program, &Reordered) -> Result<(), String>;
 
 /// Verification callback for optimization-pipeline output (original program
 /// first). Static translation validation only — the hook runs on every
 /// `optimize` call, so dynamic trace comparison is left to explicit
 /// verification entry points.
-pub type OptimizeHook = fn(&Program, &Optimized) -> Result<(), String>;
+pub(crate) type OptimizeHook = fn(&Program, &Optimized) -> Result<(), String>;
 
 static PROFILE_HOOK: OnceLock<ProfileHook> = OnceLock::new();
 static TRACES_HOOK: OnceLock<TracesHook> = OnceLock::new();

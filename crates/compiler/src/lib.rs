@@ -8,8 +8,9 @@
 //! * [`select_traces`] — Fisher-style trace selection,
 //! * [`reorder()`](reorder()) — trace layout with branch-sense inversion
 //!   (code reordering, Figure 12 / Table 3),
-//! * [`pad`] — the `pad-all` and `pad-trace` nop-insertion schemes
-//!   (Figure 13 / Table 4),
+//! * [`layout_pad_all`] and [`Reordered::layout_pad_trace`] — the `pad-all`
+//!   and `pad-trace` nop-insertion schemes (Figure 13), with [`expansion`]
+//!   measuring their code growth (Table 4),
 //! * [`optimize`] — the SSA-era pass pipeline ([`lvn()`](lvn()),
 //!   [`dce()`](dce()), [`superblock()`](superblock()), branch
 //!   straightening), each application recorded for translation validation
@@ -36,13 +37,13 @@
 pub mod dce;
 pub mod hooks;
 pub mod lvn;
-pub mod pad;
-pub mod passes;
-pub mod profile;
+pub(crate) mod pad;
+pub(crate) mod passes;
+pub(crate) mod profile;
 pub mod reorder;
-pub mod ssa;
+pub(crate) mod ssa;
 pub mod superblock;
-pub mod traceselect;
+pub(crate) mod traceselect;
 
 pub use dce::{dce, DceResult, DeadSite};
 pub use lvn::{copy_op, lvn, lvn_pure, LvnResult, LvnRewrite};

@@ -128,7 +128,7 @@ impl Ablations {
 
     /// All three sweeps.
     #[must_use]
-    pub fn sweeps(&self) -> [&Sweep; 3] {
+    pub(crate) fn sweeps(&self) -> [&Sweep; 3] {
         [&self.btb, &self.spec_depth, &self.ras]
     }
 }

@@ -124,14 +124,6 @@ impl ExtPredictors {
         }
         ExtPredictors { rows }
     }
-
-    /// The row for one machine and predictor.
-    #[must_use]
-    pub fn row(&self, machine: &str, predictor: PredictorKind) -> Option<&ExtPredictorsRow> {
-        self.rows
-            .iter()
-            .find(|r| r.machine == machine && r.predictor == predictor)
-    }
 }
 
 impl fmt::Display for ExtPredictors {
@@ -184,13 +176,14 @@ mod tests {
         let ext = ExtPredictors::run(&lab);
         assert_eq!(ext.rows.len(), 6);
         for machine in ["P14", "P18", "P112"] {
-            let twobit = ext.row(machine, PredictorKind::TwoBitBtb).expect("row");
-            let tourney = ext
-                .row(
-                    machine,
-                    PredictorKind::Tournament(GshareConfig::default_4k()),
-                )
-                .expect("row");
+            let row = |predictor: PredictorKind| {
+                ext.rows
+                    .iter()
+                    .find(|r| r.machine == machine && r.predictor == predictor)
+                    .expect("row")
+            };
+            let twobit = row(PredictorKind::TwoBitBtb);
+            let tourney = row(PredictorKind::Tournament(GshareConfig::default_4k()));
             assert!(
                 tourney.dir_mispredict_rate < twobit.dir_mispredict_rate,
                 "{machine}: tournament direction-miss {:.3} should beat 2-bit {:.3}",

@@ -90,14 +90,6 @@ impl Fig10 {
         Fig10 { rows }
     }
 
-    /// The row for one machine and class.
-    #[must_use]
-    pub fn row(&self, machine: &str, class: WorkloadClass) -> Option<&Fig10Row> {
-        self.rows
-            .iter()
-            .find(|r| r.machine == machine && r.class == class)
-    }
-
     /// The per-machine series for one scheme and class (P14, P18, P112).
     #[must_use]
     pub fn series(&self, scheme: SchemeKind, class: WorkloadClass) -> Vec<f64> {

@@ -25,18 +25,6 @@ pub struct Fig11Row {
     pub perfect: f64,
 }
 
-impl Fig11Row {
-    /// IPC of one standard-penalty hardware scheme.
-    #[must_use]
-    pub fn ipc_of(&self, scheme: SchemeKind) -> f64 {
-        let idx = SchemeKind::HARDWARE
-            .iter()
-            .position(|&s| s == scheme)
-            .expect("hardware scheme");
-        self.hardware[idx]
-    }
-}
-
 /// The full Figure 11 data set.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fig11 {
@@ -132,17 +120,21 @@ mod tests {
         let fig = Fig11::run(&lab);
         assert_eq!(fig.rows.len(), 3);
         for r in &fig.rows {
+            let ipc_of = |scheme: SchemeKind| {
+                let idx = SchemeKind::HARDWARE.iter().position(|&s| s == scheme);
+                r.hardware[idx.expect("hardware scheme")]
+            };
             // The extra penalty must cost performance...
             assert!(
-                r.collapsing_penalty3 < r.ipc_of(SchemeKind::CollapsingBuffer),
+                r.collapsing_penalty3 < ipc_of(SchemeKind::CollapsingBuffer),
                 "{}: penalty-3 {} not below penalty-2 {}",
                 r.machine,
                 r.collapsing_penalty3,
-                r.ipc_of(SchemeKind::CollapsingBuffer)
+                ipc_of(SchemeKind::CollapsingBuffer)
             );
             // ...and bring the collapsing buffer down to (or below) roughly
             // banked-sequential territory, as Figure 11 shows.
-            let banked = r.ipc_of(SchemeKind::BankedSequential);
+            let banked = ipc_of(SchemeKind::BankedSequential);
             assert!(
                 r.collapsing_penalty3 < banked * 1.03,
                 "{}: penalty-3 collapsing {} should not clearly beat banked {}",

@@ -81,14 +81,6 @@ impl Fig9 {
         }
         Fig9 { rows }
     }
-
-    /// The row for one machine and class.
-    #[must_use]
-    pub fn row(&self, machine: &str, class: WorkloadClass) -> Option<&Fig9Row> {
-        self.rows
-            .iter()
-            .find(|r| r.machine == machine && r.class == class)
-    }
 }
 
 impl fmt::Display for Fig9 {
@@ -157,7 +149,11 @@ mod tests {
         }
         // The collapsing buffer's edge over banked sequential is visible at
         // P112 for integer code (Table 2's intra-block branches).
-        let p112 = fig.row("P112", WorkloadClass::Int).expect("row");
+        let p112 = fig
+            .rows
+            .iter()
+            .find(|r| r.machine == "P112" && r.class == WorkloadClass::Int)
+            .expect("row");
         assert!(
             p112.ipc_of(SchemeKind::CollapsingBuffer)
                 > p112.ipc_of(SchemeKind::BankedSequential) + 0.02,

@@ -307,7 +307,7 @@ impl LabCacheStats {
 /// lifetime (they key the `'static`-named caches below), so the registry
 /// must be bounded; at the content-hash granularity the serve layer uses,
 /// re-uploads of the same program do not consume new slots.
-pub const MAX_EXTERNAL_PROGRAMS: usize = 128;
+pub(crate) const MAX_EXTERNAL_PROGRAMS: usize = 128;
 
 /// The experiment laboratory: benchmark suite plus concurrently cached
 /// profiles, reordered programs, layouts, materialized traces, block streams
@@ -374,12 +374,6 @@ impl Lab {
         }
     }
 
-    /// Returns the configuration.
-    #[must_use]
-    pub fn config(&self) -> ExpConfig {
-        self.cfg
-    }
-
     /// The worker pool the drivers execute their grids on.
     #[must_use]
     pub fn runner(&self) -> Runner {
@@ -388,7 +382,7 @@ impl Lab {
 
     /// All benchmarks of the given class.
     #[must_use]
-    pub fn class(&self, class: WorkloadClass) -> Vec<&Workload> {
+    pub(crate) fn class(&self, class: WorkloadClass) -> Vec<&Workload> {
         self.benchmarks
             .iter()
             .map(Arc::as_ref)
@@ -425,7 +419,7 @@ impl Lab {
     ///
     /// Rejects names that collide with suite benchmarks, re-registrations
     /// whose program or behaviours differ from the existing entry, and
-    /// registrations beyond [`MAX_EXTERNAL_PROGRAMS`].
+    /// registrations beyond `MAX_EXTERNAL_PROGRAMS`.
     pub fn register_external(
         &self,
         name: &str,
@@ -536,7 +530,7 @@ impl Lab {
 
     /// A reordered benchmark as a [`Workload`] (same behaviours, edited
     /// program), for executing against a reordered layout.
-    pub fn reordered_workload(&self, name: &'static str) -> Arc<Workload> {
+    pub(crate) fn reordered_workload(&self, name: &'static str) -> Arc<Workload> {
         self.reordered_workloads.get_or_compute(name, || {
             let r = self.reordered(name).program.clone();
             let w = self.workload_arc(name);

@@ -71,12 +71,6 @@ impl Table2 {
         }
         Table2 { rows }
     }
-
-    /// Row for one benchmark.
-    #[must_use]
-    pub fn row(&self, bench: &str) -> Option<&Table2Row> {
-        self.rows.iter().find(|r| r.bench == bench)
-    }
 }
 
 impl fmt::Display for Table2 {
@@ -115,14 +109,20 @@ mod tests {
             assert!(r.pct[1] >= r.pct[0] - 2.0, "{}: {:?}", r.bench, r.pct);
             assert!(r.pct[2] >= r.pct[1] - 2.0, "{}: {:?}", r.bench, r.pct);
         }
+        let row = |bench: &str| {
+            t.rows
+                .iter()
+                .find(|r| r.bench == bench)
+                .expect("benchmark present")
+        };
         // nasa7 (pure loop nests) has essentially none.
-        let nasa = t.row("nasa7").expect("nasa7 present");
+        let nasa = row("nasa7");
         assert!(nasa.pct[2] < 2.0, "nasa7: {:?}", nasa.pct);
         // compress has a visible fraction even at 16 B blocks.
-        let compress = t.row("compress").expect("compress present");
+        let compress = row("compress");
         assert!(compress.pct[0] > 4.0, "compress: {:?}", compress.pct);
         // The branchiest integer codes reach tens of percent at 64 B.
-        let eqntott = t.row("eqntott").expect("eqntott present");
+        let eqntott = row("eqntott");
         assert!(eqntott.pct[2] > 25.0, "eqntott: {:?}", eqntott.pct);
     }
 }

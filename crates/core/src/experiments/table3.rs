@@ -81,12 +81,6 @@ impl Table3 {
             .collect();
         Table3 { rows }
     }
-
-    /// Row for one benchmark.
-    #[must_use]
-    pub fn row(&self, bench: &str) -> Option<&Table3Row> {
-        self.rows.iter().find(|r| r.bench == bench)
-    }
 }
 
 impl fmt::Display for Table3 {

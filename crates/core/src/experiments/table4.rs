@@ -70,12 +70,6 @@ impl Table4 {
             .collect();
         Table4 { rows }
     }
-
-    /// Row for one benchmark.
-    #[must_use]
-    pub fn row(&self, bench: &str) -> Option<&Table4Row> {
-        self.rows.iter().find(|r| r.bench == bench)
-    }
 }
 
 impl fmt::Display for Table4 {

@@ -9,8 +9,8 @@
 //!
 //! * [`Value`] — an order-preserving JSON document model (object fields render
 //!   in insertion order, so output is byte-deterministic).
-//! * [`Value::render`] / [`Value::pretty`] — compact and indented writers.
-//! * [`escape`] — string escaping per RFC 8259.
+//! * [`Value::render`] / [`Value::pretty`] — compact and indented writers
+//!   (strings escaped per RFC 8259).
 //! * [`parse`] — a recursive-descent parser with a depth limit, used by the
 //!   experiment service to decode request bodies.
 //! * [`diagnostics_value`] — the lint CLI's diagnostic reporter, so every
@@ -226,14 +226,6 @@ pub(crate) fn format_f64(x: f64) -> String {
     }
 }
 
-/// Escapes `s` for inclusion in a JSON string literal (without the quotes).
-#[must_use]
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    escape_into(&mut out, s);
-    out
-}
-
 /// [`escape`], appending into an existing buffer.
 pub(crate) fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
@@ -278,7 +270,7 @@ pub fn diagnostics_value(diags: &[Diagnostic]) -> Value {
 
 /// Maximum nesting depth [`parse`] accepts (defense against stack-abuse from
 /// untrusted request bodies).
-pub const MAX_DEPTH: usize = 32;
+pub(crate) const MAX_DEPTH: usize = 32;
 
 /// A parse failure: byte offset plus a short description.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -551,6 +543,12 @@ impl Parser<'_> {
 mod tests {
     use super::*;
     use fetchmech_analysis::{Location, Severity};
+
+    fn escape(s: &str) -> String {
+        let mut out = String::new();
+        escape_into(&mut out, s);
+        out
+    }
 
     #[test]
     fn escaping_covers_quotes_backslashes_and_controls() {

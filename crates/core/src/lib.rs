@@ -36,14 +36,14 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod cost;
+pub(crate) mod cost;
 pub mod experiments;
 pub mod json;
 mod metrics;
 pub mod runner;
 pub mod sanitize;
 pub mod sim;
-pub mod unit;
+pub(crate) mod unit;
 
 /// The five fetch schemes (re-exported from `fetchmech-pipeline`, where the
 /// type lives so the analysis layer can name schemes without depending on

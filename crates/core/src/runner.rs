@@ -28,7 +28,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 /// Environment variable overriding the worker-pool width.
-pub const THREADS_ENV: &str = "FETCHMECH_THREADS";
+pub(crate) const THREADS_ENV: &str = "FETCHMECH_THREADS";
 
 /// A fixed-width worker pool for embarrassingly parallel experiment grids.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,13 +52,12 @@ impl Runner {
     /// back to the hardware width *with a one-line warning on stderr*, so a
     /// typo in a job script degrades loudly instead of silently.
     #[must_use]
-    pub fn from_env() -> Self {
+    pub(crate) fn from_env() -> Self {
         Self::from_flag_or_env(None)
     }
 
     /// A runner sized from an explicit `--threads`-style flag, falling back
-    /// to the environment ([`Runner::from_env`] semantics) when the flag is
-    /// absent.
+    /// to `FETCHMECH_THREADS` when the flag is absent.
     ///
     /// The flag wins over `FETCHMECH_THREADS`; when both are set and
     /// disagree, a single warning on stderr names the conflict; a flag of

@@ -5,7 +5,7 @@
 //! paper's delivery rules. This module decides *when* it runs and feeds it
 //! the simulator's event stream:
 //!
-//! * [`ENABLED`] — the gate. Debug builds sanitize every [`simulate`] and
+//! * `ENABLED` — the gate. Debug builds sanitize every [`simulate`] and
 //!   [`measure_eir`](crate::sim::measure_eir) call and panic on findings
 //!   (the checks become hard assertions, like `debug_assert!`). Release
 //!   builds compile the observation calls out entirely unless the
@@ -39,7 +39,7 @@ use crate::sim::{EirResult, SimResult};
 ///
 /// The constant lets LLVM erase every sanitizer branch from an unsanitized
 /// release simulator — the observation calls sit behind `if ENABLED`.
-pub const ENABLED: bool = cfg!(any(feature = "sanitize", debug_assertions));
+pub(crate) const ENABLED: bool = cfg!(any(feature = "sanitize", debug_assertions));
 
 /// Builds the sanitizer's machine-parameter mirror for one run.
 pub(crate) fn fetch_env(machine: &MachineModel, scheme: SchemeKind, track_issue: bool) -> FetchEnv {
@@ -57,8 +57,8 @@ pub(crate) fn fetch_env(machine: &MachineModel, scheme: SchemeKind, track_issue:
 /// Runs a full simulation with the sanitizer attached, returning the result
 /// *and* every invariant finding (empty = clean run).
 ///
-/// Unlike the [`ENABLED`]-gated self-check inside
-/// [`simulate`](crate::sim::simulate), this never panics; callers decide
+/// Unlike the self-check inside [`simulate`](crate::sim::simulate) (debug
+/// builds, or the `sanitize` feature), this never panics; callers decide
 /// what a finding means (the lint CLI turns errors into a nonzero exit).
 #[must_use]
 pub fn simulate_checked(
@@ -123,7 +123,7 @@ pub fn check_dominance(
 /// layout, and machine alone, and checks each measured EIR against it.
 ///
 /// The bound is sound for any dynamic trace of the layout (see
-/// [`fetchmech_analysis::geometry`]), so a violation always means a bug —
+/// [`fetchmech_analysis::analyze_geometry`]), so a violation always means a bug —
 /// the fetch unit delivered a packet its scheme cannot form, or the
 /// geometry model mis-describes the scheme. Pair with [`check_dominance`]:
 /// dominance relates schemes to each other, the static bound anchors each

@@ -82,7 +82,9 @@ pub struct BreakdownStats {
 pub struct FetchStats {
     /// Non-empty packets produced.
     pub packets: u64,
-    /// Cycles that delivered nothing while stalled for an I-cache miss.
+    /// Demand I-cache misses that stalled fetch: one per miss, *not* the
+    /// cycles spent waiting for the fill (despite the name, which the JSON
+    /// surfaces keep).
     pub miss_stall_cycles: u64,
     /// Cycles that delivered nothing while waiting on a mispredict redirect.
     pub redirect_stall_cycles: u64,
@@ -335,8 +337,8 @@ impl FrontEnd {
         if is_cond {
             match &mut self.dir {
                 DirPredictor::BtbCounters => {}
-                DirPredictor::Gshare(g) => g.update(inst.addr, ctrl.taken, taken_pred),
-                DirPredictor::Tournament(t) => t.update(inst.addr, ctrl.taken, taken_pred),
+                DirPredictor::Gshare(g) => g.update(inst.addr, ctrl.taken),
+                DirPredictor::Tournament(t) => t.update(inst.addr, ctrl.taken),
             }
         }
         if !correct {
@@ -536,9 +538,8 @@ impl FrontEnd {
     }
 }
 
-/// The per-instruction fetch unit — the reference oracle. Construct with
-/// [`AlignedFetchUnit::new`] and drive one [`cycle`](Self::cycle) at a
-/// time.
+/// The per-instruction fetch unit — the reference oracle. The reference
+/// simulator drives it one [`cycle`](Self::cycle) at a time.
 #[derive(Debug)]
 pub struct AlignedFetchUnit {
     fe: FrontEnd,
@@ -548,7 +549,7 @@ pub struct AlignedFetchUnit {
 impl AlignedFetchUnit {
     /// Creates a fetch unit over `trace` with fresh cache and BTB state.
     #[must_use]
-    pub fn new(cfg: FetchConfig, icache: ICache, btb: Btb, trace: TraceCursor) -> Self {
+    pub(crate) fn new(cfg: FetchConfig, icache: ICache, btb: Btb, trace: TraceCursor) -> Self {
         Self {
             fe: FrontEnd::new(cfg, icache, btb),
             cursor: trace,
@@ -563,13 +564,13 @@ impl AlignedFetchUnit {
 
     /// Returns the instruction cache (for hit/miss statistics).
     #[must_use]
-    pub fn icache(&self) -> &ICache {
+    pub(crate) fn icache(&self) -> &ICache {
         &self.fe.icache
     }
 
     /// Returns the branch-target buffer (for predictor statistics).
     #[must_use]
-    pub fn btb(&self) -> &Btb {
+    pub(crate) fn btb(&self) -> &Btb {
         &self.fe.btb
     }
 
@@ -693,13 +694,13 @@ impl AlignedFetchUnit {
     /// Returns `true` once the trace is exhausted and everything has been
     /// delivered.
     #[must_use]
-    pub fn done(&self) -> bool {
+    pub(crate) fn done(&self) -> bool {
         self.cursor.is_done()
     }
 
     /// Total instructions delivered so far (the numerator of EIR).
     #[must_use]
-    pub fn delivered(&self) -> u64 {
+    pub(crate) fn delivered(&self) -> u64 {
         self.fe.delivered
     }
 }
@@ -724,18 +725,12 @@ pub struct BlockPacket {
 
 impl BlockPacket {
     /// Resets the packet for reuse (the simulator loop recycles one buffer).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.runs.clear();
         self.len = 0;
         self.nops = 0;
         self.conds = 0;
         self.mispredicted = false;
-    }
-
-    /// `true` if no instructions were delivered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     fn push_run(&mut self, id: u32, off: u32, len: u32) {
@@ -788,7 +783,7 @@ impl BlockFetchUnit {
     /// Creates a fetch unit over a block stream with fresh cache and BTB
     /// state.
     #[must_use]
-    pub fn new(cfg: FetchConfig, icache: ICache, btb: Btb, cursor: BlockCursor) -> Self {
+    pub(crate) fn new(cfg: FetchConfig, icache: ICache, btb: Btb, cursor: BlockCursor) -> Self {
         Self {
             fe: FrontEnd::new(cfg, icache, btb),
             cursor,
@@ -797,37 +792,37 @@ impl BlockFetchUnit {
 
     /// Returns fetch statistics.
     #[must_use]
-    pub fn stats(&self) -> &FetchStats {
+    pub(crate) fn stats(&self) -> &FetchStats {
         &self.fe.stats
     }
 
     /// Returns the instruction cache (for hit/miss statistics).
     #[must_use]
-    pub fn icache(&self) -> &ICache {
+    pub(crate) fn icache(&self) -> &ICache {
         &self.fe.icache
     }
 
     /// Returns the branch-target buffer (for predictor statistics).
     #[must_use]
-    pub fn btb(&self) -> &Btb {
+    pub(crate) fn btb(&self) -> &Btb {
         &self.fe.btb
     }
 
     /// Instructions delivered so far (including nops).
     #[must_use]
-    pub fn delivered(&self) -> u64 {
+    pub(crate) fn delivered(&self) -> u64 {
         self.fe.delivered
     }
 
     /// `true` when the stream is exhausted.
     #[must_use]
-    pub fn done(&self) -> bool {
+    pub(crate) fn done(&self) -> bool {
         self.cursor.is_done()
     }
 
     /// Reports resolution of the outstanding mispredicted control transfer;
     /// delivery resumes after the fetch-pipeline penalty.
-    pub fn on_mispredict_resolved(&mut self, cycle: u64) {
+    pub(crate) fn on_mispredict_resolved(&mut self, cycle: u64) {
         self.fe.on_mispredict_resolved(cycle);
     }
 

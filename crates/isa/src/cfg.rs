@@ -360,19 +360,6 @@ impl Program {
             .sum()
     }
 
-    /// Computes the intra-procedural predecessor map (callee entries have no
-    /// predecessors recorded; `CallFall` edges count as predecessors).
-    #[must_use]
-    pub fn predecessors(&self) -> HashMap<BlockId, Vec<BlockId>> {
-        let mut preds: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
-        for b in &self.blocks {
-            for (_, succ) in b.terminator.local_successors() {
-                preds.entry(succ).or_default().push(b.id);
-            }
-        }
-        preds
-    }
-
     /// Returns a new program with the given block terminators replaced.
     ///
     /// Used by the code-reordering pass to invert branch senses and convert
@@ -546,9 +533,8 @@ impl Program {
 
 /// Dense successor/predecessor adjacency over a [`Program`]'s CFG.
 ///
-/// [`Program::predecessors`] answers one-off queries through a `HashMap`;
-/// analyses that traverse the graph repeatedly (the dataflow solver, the
-/// dominator builder) want `O(1)` indexed edge lists instead. A view is a
+/// Analyses that traverse the graph repeatedly (the dataflow solver, the
+/// dominator builder) get `O(1)` indexed edge lists from it. A view is a
 /// snapshot: it does not borrow the program, and edits made through
 /// [`Program::with_terminators`] require building a fresh view.
 ///
@@ -611,7 +597,7 @@ impl CfgView {
 
     /// Number of blocks in the underlying program.
     #[must_use]
-    pub fn num_blocks(&self) -> usize {
+    pub(crate) fn num_blocks(&self) -> usize {
         self.succs.len()
     }
 
@@ -683,12 +669,6 @@ impl ProgramEdit {
     #[must_use]
     pub fn num_blocks(&self) -> usize {
         self.blocks.len()
-    }
-
-    /// Number of allocated conditional-branch ids in the working copy.
-    #[must_use]
-    pub fn num_branches(&self) -> u32 {
-        self.num_branches
     }
 
     /// Returns the working copy of a block.
@@ -1205,14 +1185,6 @@ mod tests {
             vec![(EdgeKind::Taken, BlockId(0)), (EdgeKind::Fall, BlockId(1))]
         );
         assert!(p.block(BlockId(1)).terminator.local_successors().is_empty());
-    }
-
-    #[test]
-    fn predecessors_cover_both_edges() {
-        let p = two_block_program();
-        let preds = p.predecessors();
-        assert_eq!(preds[&BlockId(0)], vec![BlockId(0)]);
-        assert_eq!(preds[&BlockId(1)], vec![BlockId(0)]);
     }
 
     #[test]

@@ -18,10 +18,10 @@ use crate::cfg::Program;
 use crate::layout::Layout;
 
 /// Verification callback for freshly constructed [`Program`]s.
-pub type ProgramHook = fn(&Program) -> Result<(), String>;
+pub(crate) type ProgramHook = fn(&Program) -> Result<(), String>;
 
 /// Verification callback for freshly constructed [`Layout`]s.
-pub type LayoutHook = fn(&Program, &Layout) -> Result<(), String>;
+pub(crate) type LayoutHook = fn(&Program, &Layout) -> Result<(), String>;
 
 static PROGRAM_HOOK: OnceLock<ProgramHook> = OnceLock::new();
 static LAYOUT_HOOK: OnceLock<LayoutHook> = OnceLock::new();

@@ -47,17 +47,17 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod addr;
-pub mod cfg;
-pub mod dom;
-pub mod hash;
+pub(crate) mod addr;
+pub(crate) mod cfg;
+pub(crate) mod dom;
+pub(crate) mod hash;
 pub mod hooks;
-pub mod layout;
-pub mod op;
-pub mod reg;
+pub(crate) mod layout;
+pub(crate) mod op;
+pub(crate) mod reg;
 pub mod rng;
-pub mod stream;
-pub mod trace;
+pub(crate) mod stream;
+pub(crate) mod trace;
 
 pub use addr::{Addr, WORD_BYTES};
 pub use cfg::{

@@ -19,11 +19,6 @@ pub enum FuClass {
     Mem,
 }
 
-impl FuClass {
-    /// All functional-unit classes, in display order.
-    pub const ALL: [FuClass; 4] = [FuClass::Fxu, FuClass::Fpu, FuClass::Branch, FuClass::Mem];
-}
-
 impl fmt::Display for FuClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -101,7 +96,7 @@ impl OpClass {
     /// Index of this class within [`OpClass::ALL`] — a stable dense key for
     /// per-class count arrays.
     #[must_use]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             OpClass::IntAlu => 0,
             OpClass::IntMul => 1,

@@ -55,20 +55,6 @@ impl Reg {
         Reg::Fp(n)
     }
 
-    /// Returns the register number within its file.
-    #[must_use]
-    pub fn number(self) -> u8 {
-        match self {
-            Reg::Int(n) | Reg::Fp(n) => n,
-        }
-    }
-
-    /// Returns `true` for floating-point registers.
-    #[must_use]
-    pub fn is_fp(self) -> bool {
-        matches!(self, Reg::Fp(_))
-    }
-
     /// Returns a dense index over both files: `0..32` for integer registers,
     /// `32..64` for floating-point. Useful for flat rename tables.
     #[must_use]
@@ -133,11 +119,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn file_index_out_of_range_panics() {
         let _ = Reg::from_file_index(64);
-    }
-
-    #[test]
-    fn fp_flag() {
-        assert!(Reg::fp(1).is_fp());
-        assert!(!Reg::int(1).is_fp());
     }
 }

@@ -137,12 +137,6 @@ impl SegTemplate {
         false
     }
 
-    /// Per-[`OpClass`] instruction counts, indexed by [`OpClass::index`].
-    #[must_use]
-    pub fn counts(&self) -> &[u32; OpClass::ALL.len()] {
-        &self.counts
-    }
-
     /// Count of instructions of one op class.
     #[must_use]
     #[inline]
@@ -281,20 +275,6 @@ impl BlockStream {
         self.total_insts
     }
 
-    /// True when the stream holds no instructions.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.total_insts == 0
-    }
-
-    /// Iterates the dynamic instructions in trace order without
-    /// materializing.
-    pub fn iter(&self) -> impl Iterator<Item = &DynInst> + '_ {
-        self.records
-            .iter()
-            .flat_map(|&id| self.template(id).insts().iter())
-    }
-
     /// Expands the stream back to the exact per-instruction trace.
     #[must_use]
     pub fn materialize(&self) -> Vec<DynInst> {
@@ -369,11 +349,11 @@ impl SegKey {
 
 /// Incremental [`BlockStream`] encoder with template interning.
 ///
-/// Feed dynamic instructions with [`push`](Self::push); a segment seals after
-/// every control transfer and at [`finish`](Self::finish) (a trailing cut
-/// segment). Generators that know segment boundaries up front can intern a
-/// whole segment at once with [`intern`](Self::intern) +
-/// [`push_record`](Self::push_record).
+/// [`BlockStream::from_insts`] feeds it one dynamic instruction at a time; a
+/// segment seals after every control transfer and at
+/// [`finish`](Self::finish) (a trailing cut segment). Generators that know
+/// segment boundaries up front intern a whole segment at once with
+/// [`intern`](Self::intern) + [`push_record`](Self::push_record).
 #[derive(Debug, Default)]
 pub struct BlockStreamBuilder {
     templates: Vec<SegTemplate>,
@@ -392,7 +372,7 @@ impl BlockStreamBuilder {
 
     /// Appends one dynamic instruction, sealing the current segment if it is
     /// a control transfer.
-    pub fn push(&mut self, inst: DynInst) {
+    pub(crate) fn push(&mut self, inst: DynInst) {
         let seal = inst.ctrl.is_some();
         self.pending.push(inst);
         if seal {
@@ -432,12 +412,6 @@ impl BlockStreamBuilder {
         let len = self.templates[id as usize].len() as u64;
         self.records.push(id);
         self.total_insts += len;
-    }
-
-    /// Instructions encoded so far (including the unsealed pending run).
-    #[must_use]
-    pub fn total_insts(&self) -> u64 {
-        self.total_insts + self.pending.len() as u64
     }
 
     /// Seals any trailing cut segment and returns the finished stream.
@@ -489,7 +463,6 @@ mod tests {
     #[test]
     fn empty_trace_encodes_to_empty_stream() {
         let s = BlockStream::from_insts(&[]);
-        assert!(s.is_empty());
         assert_eq!(s.total_insts(), 0);
         assert_eq!(s.records().len(), 0);
         assert_eq!(s.templates().len(), 0);
@@ -566,7 +539,7 @@ mod tests {
         assert_eq!(t.op_count(OpClass::Nop), 2);
         assert_eq!(t.op_count(OpClass::Load), 1);
         assert_eq!(t.op_count(OpClass::CondBranch), 1);
-        assert_eq!(t.counts().iter().sum::<u32>(), 5);
+        assert_eq!(t.counts.iter().sum::<u32>(), 5);
         // Prefix nop counts over partial ranges.
         assert_eq!(t.nops_in(0..5), 2);
         assert_eq!(t.nops_in(0..2), 1);
@@ -599,21 +572,6 @@ mod tests {
         assert_eq!(s.records().len(), 1);
         assert!(!s.template(s.records()[0]).sequential());
         assert_eq!(s.materialize(), trace);
-    }
-
-    #[test]
-    fn iter_matches_materialize() {
-        let trace = vec![
-            alu(0x100),
-            branch(0x104, true, 0x100),
-            alu(0x100),
-            branch(0x104, false, 0x100),
-            alu(0x108),
-        ];
-        let s = BlockStream::from_insts(&trace);
-        let via_iter: Vec<DynInst> = s.iter().copied().collect();
-        assert_eq!(via_iter, s.materialize());
-        assert_eq!(via_iter, trace);
     }
 
     #[test]

@@ -136,18 +136,6 @@ impl TraceCursor {
     pub fn is_done(&self) -> bool {
         self.pos >= self.trace.len()
     }
-
-    /// Instructions not yet consumed.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.trace.len() - self.pos
-    }
-
-    /// A zero-copy handle to the underlying shared trace.
-    #[must_use]
-    pub fn shared(&self) -> std::sync::Arc<[DynInst]> {
-        std::sync::Arc::clone(&self.trace)
-    }
 }
 
 /// A peekable cursor over a shared run-length [`BlockStream`].
@@ -399,9 +387,9 @@ mod tests {
         let trace: std::sync::Arc<[DynInst]> = seq(8).into();
         let a = TraceCursor::new(std::sync::Arc::clone(&trace));
         let b = TraceCursor::from(&trace);
-        assert!(std::sync::Arc::ptr_eq(&a.shared(), &b.shared()));
-        assert_eq!(a.remaining(), 8);
-        assert_eq!(b.remaining(), 8);
+        assert!(std::sync::Arc::ptr_eq(&a.trace, &b.trace));
+        assert_eq!(a.trace.len() - a.pos, 8);
+        assert_eq!(b.trace.len() - b.pos, 8);
     }
 
     fn looped_trace() -> Vec<DynInst> {
@@ -441,7 +429,7 @@ mod tests {
         let mut t = TraceCursor::new(trace.clone());
         let mut consumed = 0usize;
         for step in [0usize, 1, 2, 4, 0, 3, 1, 2] {
-            let n = step.min(t.remaining());
+            let n = step.min(t.trace.len() - t.pos);
             b.consume(n);
             t.consume(n);
             consumed += n;

@@ -27,9 +27,9 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod fetch;
-pub mod machine;
-pub mod ooo;
+pub(crate) mod fetch;
+pub(crate) mod machine;
+pub(crate) mod ooo;
 pub mod scheme;
 
 pub use fetch::{BlockCursor, FetchPacket, FetchedInst, TraceCursor};

@@ -129,12 +129,6 @@ impl OooCore {
         }
     }
 
-    /// Returns the configuration.
-    #[must_use]
-    pub fn config(&self) -> &OooConfig {
-        &self.cfg
-    }
-
     fn min_inflight_seq(&self) -> u64 {
         self.rob.front().map_or(self.next_seq, |e| e.seq)
     }
@@ -875,7 +869,7 @@ mod tests {
             core.begin_cycle(cycle);
             core.fire(cycle);
             let mut dispatched = 0;
-            while next < insts.len() && dispatched < core.config().issue_rate && core.can_accept() {
+            while next < insts.len() && dispatched < core.cfg.issue_rate && core.can_accept() {
                 core.dispatch(&insts[next]);
                 next += 1;
                 dispatched += 1;

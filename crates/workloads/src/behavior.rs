@@ -373,7 +373,7 @@ impl BehaviorState {
 
     /// Clears all live loop counters and pattern positions (used at program
     /// restart).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.remaining.fill(None);
         self.position.fill(0);
     }

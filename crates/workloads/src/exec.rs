@@ -36,7 +36,6 @@ pub struct Executor<'a> {
     call_stack: Vec<Addr>,
     emitted: u64,
     limit: u64,
-    restarts: u64,
 }
 
 impl std::fmt::Debug for Executor<'_> {
@@ -44,7 +43,6 @@ impl std::fmt::Debug for Executor<'_> {
         f.debug_struct("Executor")
             .field("emitted", &self.emitted)
             .field("limit", &self.limit)
-            .field("restarts", &self.restarts)
             .finish()
     }
 }
@@ -82,14 +80,7 @@ impl<'a> Executor<'a> {
             call_stack: Vec::new(),
             emitted: 0,
             limit,
-            restarts: 0,
         }
-    }
-
-    /// Number of times the program halted and restarted so far.
-    #[must_use]
-    pub fn restarts(&self) -> u64 {
-        self.restarts
     }
 
     fn goto(&mut self, addr: Addr) {
@@ -194,7 +185,6 @@ impl Iterator for Executor<'_> {
                 // it like a halt restart (cannot happen for generated
                 // programs, whose main ends in halt).
                 let target = self.call_stack.pop().unwrap_or_else(|| {
-                    self.restarts += 1;
                     self.state.reset();
                     self.layout.entry_addr()
                 });
@@ -215,7 +205,6 @@ impl Iterator for Executor<'_> {
             }
             OpClass::Halt => {
                 let target = self.layout.entry_addr();
-                self.restarts += 1;
                 self.call_stack.clear();
                 self.state.reset();
                 self.goto(target);

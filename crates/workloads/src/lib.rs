@@ -33,10 +33,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod behavior;
-pub mod exec;
-pub mod spec;
-pub mod stream;
+pub(crate) mod behavior;
+pub(crate) mod exec;
+pub(crate) mod spec;
+pub(crate) mod stream;
 pub mod suite;
 
 pub use behavior::{BehaviorMap, BehaviorState, BranchModel};

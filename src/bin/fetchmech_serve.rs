@@ -130,6 +130,9 @@ fn main() -> ExitCode {
         eprintln!("fetchmech-serve: deterministic fault injection ACTIVE (seed {:#x}); not for production", plan.seed);
     }
 
+    // Before the server binds: once the banner is out (and `/healthz`
+    // answers), a SIGTERM must drain, never kill.
+    install_signal_handlers();
     let server = match Server::start(config) {
         Ok(server) => server,
         Err(e) => {
@@ -140,7 +143,6 @@ fn main() -> ExitCode {
     // The smoke harness greps this exact line to learn the ephemeral port.
     println!("fetchmech-serve listening on http://{}", server.addr());
 
-    install_signal_handlers();
     while !SHUTDOWN.load(Ordering::SeqCst) {
         std::thread::sleep(Duration::from_millis(50));
     }

@@ -30,7 +30,7 @@ pub struct Limits {
 }
 
 /// Most grid cells a single `/v1/sweep` may expand to.
-pub const MAX_SWEEP_JOBS: usize = 512;
+pub(crate) const MAX_SWEEP_JOBS: usize = 512;
 
 /// A validated `/v1/simulate` request.
 #[derive(Debug, Clone)]
@@ -46,7 +46,7 @@ pub struct SimulateRequest {
 /// A validated `/v1/sweep` request: the expanded grid in deterministic
 /// benches × machines × schemes × layouts order.
 #[derive(Debug, Clone)]
-pub struct SweepRequest {
+pub(crate) struct SweepRequest {
     /// One entry per grid cell, in response order.
     pub cells: Vec<(SimKey, MachineModel)>,
     /// Per-request deadline, milliseconds (shared by the whole sweep).
@@ -239,7 +239,7 @@ fn string_list<'v>(
 /// # Errors
 ///
 /// A human-readable validation message, rendered as a structured 400.
-pub fn parse_sweep(body: &[u8], limits: &Limits, lab: &Lab) -> Result<SweepRequest, String> {
+pub(crate) fn parse_sweep(body: &[u8], limits: &Limits, lab: &Lab) -> Result<SweepRequest, String> {
     let value = parse_body(body)?;
     let fields = object_fields(
         &value,
@@ -312,7 +312,7 @@ pub fn parse_sweep(body: &[u8], limits: &Limits, lab: &Lab) -> Result<SweepReque
 /// A validated `/v1/programs` upload: the declared frontend format plus the
 /// raw program source, ready for `fetchmech_frontend::parse`.
 #[derive(Debug, Clone)]
-pub struct ProgramUpload {
+pub(crate) struct ProgramUpload {
     /// The declared source format.
     pub format: Format,
     /// The program text (Bril JSON or WAT).
@@ -325,7 +325,7 @@ pub struct ProgramUpload {
 /// # Errors
 ///
 /// A human-readable validation message, rendered as a structured 400.
-pub fn parse_program_upload(body: &[u8]) -> Result<ProgramUpload, String> {
+pub(crate) fn parse_program_upload(body: &[u8]) -> Result<ProgramUpload, String> {
     let value = parse_body(body)?;
     let fields = object_fields(&value, &["format", "source"])?;
     let format_name = as_str(
@@ -365,6 +365,7 @@ pub fn sim_result_json(key: &SimKey, result: &SimResult) -> Value {
             "fetch",
             Value::object([
                 ("packets", Value::Uint(result.fetch.packets)),
+                // Counts demand misses, not cycles (see `FetchStats`).
                 (
                     "miss_stall_cycles",
                     Value::Uint(result.fetch.miss_stall_cycles),
@@ -403,7 +404,7 @@ pub fn sim_result_json(key: &SimKey, result: &SimResult) -> Value {
 /// serving from memory). `programs` lists the external program ids uploaded
 /// through `POST /v1/programs` this process lifetime, sorted.
 #[must_use]
-pub fn healthz_json(store_state: &str, programs: &[&'static str]) -> Value {
+pub(crate) fn healthz_json(store_state: &str, programs: &[&'static str]) -> Value {
     let benches: Vec<Value> = suite::INT_NAMES
         .iter()
         .chain(suite::FP_NAMES.iter())

@@ -5,7 +5,7 @@
 //! Every HTTP request — a single `/v1/simulate` or each cell of a
 //! `/v1/sweep` grid — becomes a [`SimKey`]. Identical keys that are already
 //! *in flight* (queued or running) are **coalesced**: the second requester
-//! attaches as a waiter on the first's [`SimCell`] instead of consuming a
+//! attaches as a waiter on the first's result cell instead of consuming a
 //! queue slot, so a thundering herd of identical sweeps costs one
 //! computation. Deadlines are cooperative: a waiter that times out detaches,
 //! and a job whose waiters have all detached (or whose latest deadline has
@@ -62,7 +62,7 @@ impl SimKey {
 
 /// How a unit simulation ended.
 #[derive(Debug, Clone)]
-pub enum Outcome {
+pub(crate) enum Outcome {
     /// The simulation ran; here is its fully-rendered response body (the
     /// single rendering shared by the HTTP response, every coalesced
     /// waiter, and the persistent store — which is what makes "byte
@@ -79,7 +79,7 @@ pub enum Outcome {
 
 /// What a waiting request observed.
 #[derive(Debug, Clone)]
-pub enum WaitResult {
+pub(crate) enum WaitResult {
     /// Job finished with this outcome.
     Finished(Outcome),
     /// The caller's own deadline expired first (the job may still run for
@@ -89,7 +89,7 @@ pub enum WaitResult {
 
 /// The shared slot one in-flight [`SimKey`] resolves through.
 #[derive(Debug)]
-pub struct SimCell {
+pub(crate) struct SimCell {
     state: Mutex<CellState>,
     done: Condvar,
 }
@@ -119,7 +119,7 @@ impl SimCell {
 
     /// Blocks until the job finishes or `deadline` passes, whichever is
     /// first. Detaches this waiter on timeout.
-    pub fn wait(&self, deadline: Instant) -> WaitResult {
+    pub(crate) fn wait(&self, deadline: Instant) -> WaitResult {
         let mut state = self.state.lock().expect("cell lock poisoned");
         loop {
             if let Some(outcome) = &state.outcome {
@@ -140,7 +140,7 @@ impl SimCell {
 
     /// Detaches one waiter without waiting (used when a sweep aborts after
     /// a partial submission).
-    pub fn detach(&self) {
+    pub(crate) fn detach(&self) {
         self.state.lock().expect("cell lock poisoned").waiters -= 1;
     }
 
@@ -154,7 +154,7 @@ impl SimCell {
 
 /// State shared between the HTTP handlers and the queue workers.
 #[derive(Debug)]
-pub struct EngineShared {
+pub(crate) struct EngineShared {
     /// The process-wide experiment lab (stream/layout/profile caches).
     pub lab: Arc<Lab>,
     /// All metrics counters.
@@ -171,17 +171,10 @@ pub struct EngineShared {
 }
 
 impl EngineShared {
-    /// Creates the shared state around an existing lab, with no persistence
-    /// and no fault injection.
-    #[must_use]
-    pub fn new(lab: Arc<Lab>, metrics: Arc<Metrics>) -> Self {
-        Self::with_store(lab, metrics, None, None)
-    }
-
     /// Creates the shared state with an optional persistent store and an
     /// optional engine-side fault schedule.
     #[must_use]
-    pub fn with_store(
+    pub(crate) fn with_store(
         lab: Arc<Lab>,
         metrics: Arc<Metrics>,
         store: Option<Arc<Store>>,
@@ -215,7 +208,7 @@ impl EngineShared {
 
 /// Why a submission was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Shed {
+pub(crate) enum Shed {
     /// The bounded queue is full — respond 429.
     QueueFull,
     /// The service is draining for shutdown — respond 503.
@@ -233,7 +226,7 @@ pub enum Shed {
 ///
 /// [`Shed::QueueFull`] or [`Shed::Closed`]; the caller maps these to
 /// structured 429/503 responses.
-pub fn submit(
+pub(crate) fn submit(
     shared: &Arc<EngineShared>,
     queue: &JobQueue<SimJob>,
     key: SimKey,
@@ -282,7 +275,7 @@ pub fn submit(
 }
 
 /// One queued unit simulation.
-pub struct SimJob {
+pub(crate) struct SimJob {
     key: SimKey,
     machine: MachineModel,
     cell: Arc<SimCell>,

@@ -14,7 +14,7 @@ const MAX_BODY_BYTES: usize = 256 * 1024;
 
 /// A parsed request: method, path, and the (possibly empty) body.
 #[derive(Debug)]
-pub struct Request {
+pub(crate) struct Request {
     /// Request method, upper-case as received (`GET`, `POST`, …).
     pub method: String,
     /// Request target path, e.g. `/v1/simulate` (query strings are kept
@@ -50,7 +50,7 @@ impl From<std::io::Error> for ReadError {
 ///
 /// See [`ReadError`]; callers map `TooLarge` to 413, `Malformed` to 400, and
 /// drop the connection silently on `Closed`.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, ReadError> {
+pub(crate) fn read_request(stream: &mut TcpStream) -> Result<Request, ReadError> {
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 4096];
     let head_end = loop {
@@ -126,7 +126,7 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
 
 /// A JSON response ready to be written.
 #[derive(Debug)]
-pub struct Response {
+pub(crate) struct Response {
     /// HTTP status code.
     pub status: u16,
     /// Rendered JSON body (without the trailing newline; one is added on the
@@ -140,7 +140,7 @@ pub struct Response {
 impl Response {
     /// A response whose body is the pretty-rendered `value`.
     #[must_use]
-    pub fn json(status: u16, value: &Value) -> Self {
+    pub(crate) fn json(status: u16, value: &Value) -> Self {
         Self {
             status,
             body: value.pretty(),
@@ -151,7 +151,7 @@ impl Response {
     /// A 200 response around an already-rendered JSON body (the store's
     /// byte-identical replay path — no re-rendering).
     #[must_use]
-    pub fn raw_json(status: u16, body: String) -> Self {
+    pub(crate) fn raw_json(status: u16, body: String) -> Self {
         Self {
             status,
             body,
@@ -161,7 +161,7 @@ impl Response {
 
     /// The standard `{"error": code, "detail": detail}` failure body.
     #[must_use]
-    pub fn error(status: u16, code: &str, detail: impl Into<String>) -> Self {
+    pub(crate) fn error(status: u16, code: &str, detail: impl Into<String>) -> Self {
         Self::json(
             status,
             &Value::object([
@@ -173,7 +173,7 @@ impl Response {
 
     /// Attaches a `Retry-After` hint (whole seconds).
     #[must_use]
-    pub fn with_retry_after(mut self, secs: u64) -> Self {
+    pub(crate) fn with_retry_after(mut self, secs: u64) -> Self {
         self.retry_after = Some(secs);
         self
     }
@@ -184,7 +184,7 @@ impl Response {
     /// # Errors
     ///
     /// Propagates socket write errors; the caller just drops the connection.
-    pub fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<()> {
+    pub(crate) fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<()> {
         let retry = match self.retry_after {
             Some(secs) => format!("Retry-After: {secs}\r\n"),
             None => String::new(),
@@ -205,7 +205,7 @@ impl Response {
 
 /// The reason phrase for the status codes the service emits.
 #[must_use]
-pub fn reason(status: u16) -> &'static str {
+pub(crate) fn reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
         400 => "Bad Request",

@@ -9,13 +9,13 @@ use fetchmech::json::Value;
 
 /// Upper bucket bounds (milliseconds) of the request-latency histogram; a
 /// final implicit `+inf` bucket catches the rest.
-pub const LATENCY_BUCKETS_MS: [u64; 13] =
+pub(crate) const LATENCY_BUCKETS_MS: [u64; 13] =
     [1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000];
 
 /// All service counters. Every field is monotonically increasing except the
 /// queue gauges, which are sampled live at render time.
 #[derive(Debug, Default)]
-pub struct Metrics {
+pub(crate) struct Metrics {
     /// Requests accepted for parsing, by endpoint.
     pub req_simulate: AtomicU64,
     /// `POST /v1/sweep` requests.
@@ -73,12 +73,12 @@ pub struct Metrics {
 impl Metrics {
     /// A zeroed metrics block.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Records one simulate/sweep request latency.
-    pub fn record_latency(&self, elapsed: Duration) {
+    pub(crate) fn record_latency(&self, elapsed: Duration) {
         let ms = u64::try_from(elapsed.as_millis()).unwrap_or(u64::MAX);
         let slot = LATENCY_BUCKETS_MS
             .iter()
@@ -93,7 +93,7 @@ impl Metrics {
     }
 
     /// Bumps the response-class counter for `status`.
-    pub fn record_status(&self, status: u16) {
+    pub(crate) fn record_status(&self, status: u16) {
         let counter = match status {
             200 => &self.resp_ok,
             400 => &self.resp_bad_request,
@@ -114,7 +114,7 @@ impl Metrics {
     /// `{"state": "disabled"}` stub when no store is configured).
     #[must_use]
     #[allow(clippy::too_many_arguments)]
-    pub fn to_json(
+    pub(crate) fn to_json(
         &self,
         uptime: Duration,
         queue_depth: usize,

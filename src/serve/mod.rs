@@ -12,7 +12,7 @@
 //! * [`api`] — request validation and response rendering for
 //!   `POST /v1/simulate`, `POST /v1/sweep`, and `POST /v1/programs`
 //!   (frontend program uploads, registered under content-hash ids).
-//! * [`metrics`] — counters and latency histograms behind `GET /metrics`.
+//! * `metrics` — counters and latency histograms behind `GET /metrics`.
 //!
 //! Admission control is explicit: when the bounded queue is full the
 //! service sheds load with a structured `429` instead of queueing
@@ -22,7 +22,7 @@
 pub mod api;
 pub mod engine;
 pub mod http;
-pub mod metrics;
+pub(crate) mod metrics;
 
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -300,18 +300,6 @@ impl Server {
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The engine's metrics block (exposed for tests and embedding).
-    #[must_use]
-    pub fn metrics(&self) -> Arc<Metrics> {
-        Arc::clone(&self.shared.metrics)
-    }
-
-    /// The persistent store, when one is configured (exposed for tests).
-    #[must_use]
-    pub fn store(&self) -> Option<Arc<crate::store::Store>> {
-        self.shared.store.clone()
     }
 
     /// Graceful shutdown: stop accepting, wait for open connections (up to

@@ -124,7 +124,7 @@ impl FaultPlan {
     /// Parses a `name=rate,name=rate` spec. Pure (warnings go through the
     /// callback) so the policy is unit-testable.
     #[must_use]
-    pub fn parse(spec: &str, seed: u64, mut warn: impl FnMut(&str)) -> Option<FaultPlan> {
+    pub(crate) fn parse(spec: &str, seed: u64, mut warn: impl FnMut(&str)) -> Option<FaultPlan> {
         let mut plan = FaultPlan {
             seed,
             ..FaultPlan::default()
@@ -163,7 +163,7 @@ impl FaultPlan {
 
     /// Whether any fault class has a positive rate.
     #[must_use]
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         self.write_err > 0.0
             || self.short_write > 0.0
             || self.sync_fail > 0.0
@@ -175,7 +175,7 @@ impl FaultPlan {
     ///
     /// [`SimKey`]: crate::serve::engine::SimKey
     #[must_use]
-    pub fn rolls_sim_panic(&self, tag: &str) -> bool {
+    pub(crate) fn rolls_sim_panic(&self, tag: &str) -> bool {
         fires(
             self.roll(Domain::SimPanic, tag.as_bytes(), 0),
             self.sim_panic,

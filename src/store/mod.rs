@@ -23,7 +23,7 @@
 //!
 //! [`SimKey`]: crate::serve::engine::SimKey
 
-pub mod fault;
+pub(crate) mod fault;
 mod log;
 
 pub use fault::{FaultAction, FaultPlan, IoFault, NoFault, FAULTS_ENV, FAULT_SEED_ENV};
@@ -31,7 +31,7 @@ pub use fault::{FaultAction, FaultPlan, IoFault, NoFault, FAULTS_ENV, FAULT_SEED
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{Error, ErrorKind, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, RwLock};
@@ -52,7 +52,7 @@ const MAX_SYNC_ATTEMPTS: u32 = 4;
 /// Live counters for the store, rendered under `"store"` in `/metrics`.
 /// Monotonic except `degraded`, which latches once.
 #[derive(Debug, Default)]
-pub struct StoreStats {
+pub(crate) struct StoreStats {
     /// Records durably appended (written + fsynced + indexed).
     pub persisted: AtomicU64,
     /// Persist requests dropped (queue full, degraded mode, or a failed
@@ -82,7 +82,7 @@ impl StoreStats {
 
 /// What [`Store::open`] recovered from an existing log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryReport {
+pub(crate) struct RecoveryReport {
     /// Whole records accepted by the scan (including superseded duplicates).
     pub records: u64,
     /// Distinct keys now in the index.
@@ -98,7 +98,6 @@ enum PersistMsg {
 /// The crash-safe result store: an append-only log plus an in-memory index.
 #[derive(Debug)]
 pub struct Store {
-    path: PathBuf,
     reader: Mutex<File>,
     index: Arc<RwLock<HashMap<String, (u64, u32)>>>,
     stats: Arc<StoreStats>,
@@ -169,7 +168,6 @@ impl Store {
         };
 
         Ok(Store {
-            path,
             reader: Mutex::new(reader),
             index,
             stats,
@@ -179,40 +177,22 @@ impl Store {
         })
     }
 
-    /// The log's location on disk.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// What the opening scan recovered.
     #[must_use]
-    pub fn recovery(&self) -> RecoveryReport {
+    pub(crate) fn recovery(&self) -> RecoveryReport {
         self.recovery
-    }
-
-    /// The live counters.
-    #[must_use]
-    pub fn stats(&self) -> &StoreStats {
-        &self.stats
     }
 
     /// Whether persistence has failed hard (lookups still work).
     #[must_use]
-    pub fn is_degraded(&self) -> bool {
+    pub(crate) fn is_degraded(&self) -> bool {
         self.stats.degraded.load(Ordering::Relaxed)
     }
 
     /// Distinct keys currently durable.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.index.read().expect("store index poisoned").len()
-    }
-
-    /// Whether no key is durable yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Looks `key` up in the index and reads its body back from the log.
@@ -290,7 +270,7 @@ impl Store {
 
     /// Renders the `"store"` section of `/metrics`.
     #[must_use]
-    pub fn to_json(&self) -> Value {
+    pub(crate) fn to_json(&self) -> Value {
         let load = |c: &AtomicU64| Value::Uint(c.load(Ordering::Relaxed));
         Value::object([
             (
@@ -515,13 +495,13 @@ mod tests {
     }
 
     fn persist_and_wait(store: &Store, key: &str, body: &str, expect_durable: bool) {
-        let before = store.stats().persisted.load(Ordering::Relaxed)
-            + store.stats().dropped.load(Ordering::Relaxed);
+        let before = store.stats.persisted.load(Ordering::Relaxed)
+            + store.stats.dropped.load(Ordering::Relaxed);
         store.persist(key.to_string(), &Arc::new(body.to_string()));
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         loop {
-            let persisted = store.stats().persisted.load(Ordering::Relaxed);
-            let dropped = store.stats().dropped.load(Ordering::Relaxed);
+            let persisted = store.stats.persisted.load(Ordering::Relaxed);
+            let dropped = store.stats.dropped.load(Ordering::Relaxed);
             if persisted + dropped > before {
                 if expect_durable {
                     assert!(
@@ -560,9 +540,9 @@ mod tests {
                 Some(format!("body-{i}").as_str())
             );
         }
-        assert_eq!(store.stats().hits.load(Ordering::Relaxed), 10);
+        assert_eq!(store.stats.hits.load(Ordering::Relaxed), 10);
         assert!(store.lookup("absent").is_none());
-        assert_eq!(store.stats().misses.load(Ordering::Relaxed), 1);
+        assert_eq!(store.stats.misses.load(Ordering::Relaxed), 1);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -628,7 +608,7 @@ mod tests {
         }
         assert_eq!(store.lookup("old").as_deref(), Some("pre-fault"));
         assert!(store.lookup("doomed-0").is_none());
-        assert!(store.stats().write_faults.load(Ordering::Relaxed) >= u64::from(DEGRADE_AFTER));
+        assert!(store.stats.write_faults.load(Ordering::Relaxed) >= u64::from(DEGRADE_AFTER));
         // Further persists are dropped without touching the writer.
         store.persist("late".to_string(), &Arc::new("x".to_string()));
         assert!(store.lookup("late").is_none());

@@ -2,12 +2,13 @@
 //! binary, persists results, SIGKILLs it mid-operation, corrupts the log
 //! tail the way a torn write would, restarts, and asserts the durable
 //! prefix is recovered byte-identically — without recomputation. Finishes
-//! with a graceful SIGTERM drain and writes `BENCH_PR7.json`.
+//! with a graceful SIGTERM drain and writes `BENCH_PR7.json`. A second test
+//! SIGTERMs fresh servers the moment they announce themselves.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
-use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use fetchmech::json::{parse, Value};
@@ -23,7 +24,8 @@ const KEYS: [&str; 4] = [
 struct ServerProc {
     child: Child,
     addr: String,
-    stdout: Arc<Mutex<String>>,
+    /// Drains stdout after the listening line; returns it at EOF.
+    stdout: JoinHandle<String>,
 }
 
 impl ServerProc {
@@ -50,15 +52,14 @@ impl ServerProc {
         let addr = addr.expect("server printed its listening address");
         // Keep draining stdout so the pipe never backs up, and keep the
         // text for the final "drained, bye" assertion.
-        let stdout = Arc::new(Mutex::new(String::new()));
-        let sink = Arc::clone(&stdout);
-        std::thread::spawn(move || {
+        let stdout = std::thread::spawn(move || {
+            let mut text = String::new();
             for line in lines {
                 let Ok(line) = line else { break };
-                let mut text = sink.lock().expect("stdout sink");
                 text.push_str(&line);
                 text.push('\n');
             }
+            text
         });
         ServerProc {
             child,
@@ -101,9 +102,8 @@ impl ServerProc {
             assert!(Instant::now() < deadline, "server ignored SIGTERM");
             std::thread::sleep(Duration::from_millis(20));
         }
-        // Give the drain thread a beat to flush the last lines.
-        std::thread::sleep(Duration::from_millis(50));
-        self.stdout.lock().expect("stdout sink").clone()
+        // The pipe closed with the process, so the drain thread is at EOF.
+        self.stdout.join().expect("stdout drain thread")
     }
 }
 
@@ -260,4 +260,21 @@ fn sigkill_mid_write_recovers_durable_results_byte_identical() {
     std::fs::write("BENCH_PR7.json", format!("{}\n", report.pretty()))
         .expect("write BENCH_PR7.json");
     let _ = std::fs::remove_file(&store);
+}
+
+/// The listening banner promises that SIGTERM drains: the signal handlers
+/// are installed before the server binds. Sent the moment the banner
+/// appears, SIGTERM must still end in a clean exit. A handler installed
+/// after the banner loses this race only on a loaded machine, where the
+/// default disposition kills the process, hence the repetitions.
+#[test]
+fn sigterm_right_after_the_banner_drains() {
+    for run in 0..20 {
+        let store =
+            std::env::temp_dir().join(format!("fetchmech-banner-{}-{run}.log", std::process::id()));
+        let _ = std::fs::remove_file(&store);
+        let tail = ServerProc::spawn(&store).sigterm_and_wait();
+        assert!(tail.contains("drained, bye"), "run {run}: {tail}");
+        let _ = std::fs::remove_file(&store);
+    }
 }
