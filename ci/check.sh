@@ -76,6 +76,15 @@ fi
 diff -u ci/report-quick.txt "$report_out"
 rm -f "$report_out"
 
+echo "==> perfbench golden (driver output digests and exact Lab cache counters)"
+# The benchmark's paper-grid workload checks each run against this file; the
+# stage catches a drift here before the benchmark does.
+golden_out="$(mktemp)"
+cargo run --release --offline -q --manifest-path perfbench/Cargo.toml --bin perfbench -- golden \
+    >"$golden_out"
+diff -u perfbench/golden/paper-grid.txt "$golden_out"
+rm -f "$golden_out"
+
 echo "==> custom_assembly example (hand-written Bril -> frontend -> block stream -> simulate)"
 cargo run --release --offline -q --example custom_assembly >/dev/null
 

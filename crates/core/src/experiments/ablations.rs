@@ -9,8 +9,7 @@ use std::fmt;
 use fetchmech_pipeline::MachineModel;
 use fetchmech_workloads::WorkloadClass;
 
-use super::{Lab, LayoutVariant};
-use crate::metrics::harmonic_mean;
+use super::{Cell, Lab, LayoutVariant};
 use crate::scheme::SchemeKind;
 
 /// One sweep point.
@@ -47,14 +46,12 @@ pub struct Ablations {
 }
 
 impl Ablations {
-    /// Runs all three sweeps as one flat job grid. Every machine variant
+    /// Runs all three sweeps as one grid. Every machine variant
     /// shares the P112 block size, so all runs draw on the same cached
     /// block streams — only the simulations differ per sweep point. The
     /// sweep points equal to base P112 repeat one another (and Figure 9's
     /// P112 cells), so they are simulation-memo hits.
     pub fn run(lab: &Lab) -> Self {
-        let names = lab.class_names(WorkloadClass::Int);
-        let n = names.len();
         let base = MachineModel::p112();
 
         // Sweep-point machine variants, in (btb, spec_depth, ras) order.
@@ -76,31 +73,20 @@ impl Ablations {
             points.push((u64::from(r), base.clone().with_ras(r)));
         }
 
-        let mut jobs = Vec::new();
-        for (_, machine) in &points {
-            for scheme in [SchemeKind::Sequential, SchemeKind::CollapsingBuffer] {
-                for &bench in &names {
-                    jobs.push((machine.clone(), scheme, bench));
-                }
-            }
-        }
-        let ipcs = lab.runner().run(&jobs, |(machine, scheme, bench)| {
-            lab.run(machine, *scheme, bench, LayoutVariant::Natural)
-                .ipc()
-        });
-
-        let mut idx = 0;
-        let take_mean = |idx: &mut usize| {
-            let m = harmonic_mean(&ipcs[*idx..*idx + n]);
-            *idx += n;
-            m
-        };
+        let cells: Vec<[Cell; 2]> = points
+            .iter()
+            .map(|(_, m)| {
+                [SchemeKind::Sequential, SchemeKind::CollapsingBuffer]
+                    .map(|s| Cell::new(m, s, LayoutVariant::Natural, WorkloadClass::Int))
+            })
+            .collect();
         let mut rows: Vec<AblationRow> = points
             .iter()
-            .map(|&(value, _)| AblationRow {
+            .zip(lab.mean_ipc(&cells))
+            .map(|(&(value, _), [sequential, collapsing])| AblationRow {
                 value,
-                sequential: take_mean(&mut idx),
-                collapsing: take_mean(&mut idx),
+                sequential,
+                collapsing,
             })
             .collect();
 

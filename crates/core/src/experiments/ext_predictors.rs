@@ -17,7 +17,7 @@ use fetchmech_bpred::{GshareConfig, PredictorKind};
 use fetchmech_pipeline::MachineModel;
 use fetchmech_workloads::WorkloadClass;
 
-use super::{Lab, LayoutVariant};
+use super::{Cell, Lab, LayoutVariant};
 use crate::metrics::harmonic_mean;
 use crate::scheme::SchemeKind;
 use crate::sim::SimResult;
@@ -64,64 +64,49 @@ impl ExtPredictors {
     /// shifter collapsing (3-cycle) — and the crossbar runs supply both the
     /// misprediction rates and the IPC mean from a single simulation each.
     pub fn run(lab: &Lab) -> Self {
-        let names = lab.class_names(WorkloadClass::Int);
-        let n = names.len();
         let predictors = [
             PredictorKind::TwoBitBtb,
             PredictorKind::Tournament(GshareConfig::default_4k()),
         ];
-        let mut jobs = Vec::new();
-        for base in MachineModel::paper_models() {
-            for predictor in predictors {
-                let machine = base.clone().with_predictor(predictor);
-                let shifter = machine.clone().with_fetch_penalty(3);
-                let groups = [
-                    (&machine, SchemeKind::BankedSequential),
-                    (&machine, SchemeKind::CollapsingBuffer),
-                    (&shifter, SchemeKind::CollapsingBuffer),
-                ];
-                for (m, scheme) in groups {
-                    for &bench in &names {
-                        jobs.push((m.clone(), scheme, bench));
-                    }
-                }
-            }
-        }
-        let results = lab.runner().run(&jobs, |(machine, scheme, bench)| {
-            lab.run(machine, *scheme, bench, LayoutVariant::Natural)
+        let cells: Vec<[Cell; 3]> = MachineModel::paper_models()
+            .iter()
+            .flat_map(|base| {
+                predictors.map(|predictor| {
+                    let machine = base.clone().with_predictor(predictor);
+                    let shifter = machine.clone().with_fetch_penalty(3);
+                    [
+                        (&machine, SchemeKind::BankedSequential),
+                        (&machine, SchemeKind::CollapsingBuffer),
+                        (&shifter, SchemeKind::CollapsingBuffer),
+                    ]
+                    .map(|(m, s)| Cell::new(m, s, LayoutVariant::Natural, WorkloadClass::Int))
+                })
+            })
+            .collect();
+        let results = lab.cells(&cells, |c, bench| {
+            lab.run(&c.machine, c.scheme, bench, c.variant)
         });
 
         let mean_ipc = |runs: &[SimResult]| {
             let v: Vec<f64> = runs.iter().map(SimResult::ipc).collect();
             harmonic_mean(&v)
         };
-        let mut rows = Vec::new();
-        let mut idx = 0;
-        for base in MachineModel::paper_models() {
-            for predictor in predictors {
-                let banked_runs = &results[idx..idx + n];
-                let p2_runs = &results[idx + n..idx + 2 * n];
-                let p3_runs = &results[idx + 2 * n..idx + 3 * n];
-                idx += 3 * n;
-                rows.push(ExtPredictorsRow {
-                    machine: base.name.clone(),
-                    predictor,
-                    mispredict_rate: p2_runs
-                        .iter()
-                        .map(|r| r.fetch.mispredict_rate())
-                        .sum::<f64>()
-                        / n as f64,
-                    dir_mispredict_rate: p2_runs
-                        .iter()
-                        .map(|r| r.fetch.cond_dir_mispredict_rate())
-                        .sum::<f64>()
-                        / n as f64,
-                    banked: mean_ipc(banked_runs),
-                    collapsing_p2: mean_ipc(p2_runs),
-                    collapsing_p3: mean_ipc(p3_runs),
-                });
-            }
-        }
+        let mean = |runs: &[SimResult], rate: fn(&SimResult) -> f64| {
+            runs.iter().map(rate).sum::<f64>() / runs.len() as f64
+        };
+        let rows = cells
+            .iter()
+            .zip(results)
+            .map(|([c, ..], [banked, p2, p3])| ExtPredictorsRow {
+                machine: c.machine.name.clone(),
+                predictor: c.machine.predictor,
+                mispredict_rate: mean(&p2, |r| r.fetch.mispredict_rate()),
+                dir_mispredict_rate: mean(&p2, |r| r.fetch.cond_dir_mispredict_rate()),
+                banked: mean_ipc(&banked),
+                collapsing_p2: mean_ipc(&p2),
+                collapsing_p3: mean_ipc(&p3),
+            })
+            .collect();
         ExtPredictors { rows }
     }
 }

@@ -5,10 +5,9 @@
 
 use std::fmt;
 
-use fetchmech_pipeline::MachineModel;
 use fetchmech_workloads::WorkloadClass;
 
-use super::{class_label, Lab, LayoutVariant};
+use super::{class_label, scheme_rows, Lab};
 use crate::metrics::harmonic_mean;
 use crate::scheme::SchemeKind;
 
@@ -28,11 +27,7 @@ impl Fig10Row {
     /// Ratio for one hardware scheme.
     #[must_use]
     pub(crate) fn pct_of(&self, scheme: SchemeKind) -> f64 {
-        let idx = SchemeKind::HARDWARE
-            .iter()
-            .position(|&s| s == scheme)
-            .expect("hardware scheme");
-        self.pct[idx]
+        self.pct[scheme as usize]
     }
 }
 
@@ -46,47 +41,24 @@ pub struct Fig10 {
 impl Fig10 {
     /// Runs the experiment: fetch-only EIR per scheme, aggregated with the
     /// harmonic mean across benchmarks, then expressed relative to perfect.
-    /// The perfect bound rides in the same job grid as the hardware schemes.
+    /// The perfect bound rides in the same grid as the hardware schemes.
     pub fn run(lab: &Lab) -> Self {
-        let machines = MachineModel::paper_models();
-        let classes = [WorkloadClass::Int, WorkloadClass::Fp];
-        let schemes: Vec<SchemeKind> = std::iter::once(SchemeKind::Perfect)
-            .chain(SchemeKind::HARDWARE)
-            .collect();
-        let mut jobs = Vec::new();
-        for machine in &machines {
-            for class in classes {
-                for &scheme in &schemes {
-                    for bench in lab.class_names(class) {
-                        jobs.push((machine.clone(), scheme, bench));
-                    }
-                }
-            }
-        }
-        let eirs = lab.runner().run(&jobs, |(machine, scheme, bench)| {
-            lab.eir(machine, *scheme, bench, LayoutVariant::Natural)
-                .eir()
+        let cells = scheme_rows(SchemeKind::ALL);
+        let eirs = lab.cells(&cells, |c, bench| {
+            lab.eir(&c.machine, c.scheme, bench, c.variant).eir()
         });
-
-        let mut rows = Vec::new();
-        let mut idx = 0;
-        for machine in &machines {
-            for class in classes {
-                let n = lab.class_names(class).len();
-                let perfect = harmonic_mean(&eirs[idx..idx + n]);
-                idx += n;
-                let mut pct = [0.0; 4];
-                for slot in &mut pct {
-                    *slot = 100.0 * harmonic_mean(&eirs[idx..idx + n]) / perfect;
-                    idx += n;
+        let rows = cells
+            .iter()
+            .zip(eirs)
+            .map(|([c, ..], eirs)| {
+                let [hardware @ .., perfect] = eirs.map(|v| harmonic_mean(&v));
+                Fig10Row {
+                    machine: c.machine.name.clone(),
+                    class: c.class,
+                    pct: hardware.map(|eir| 100.0 * eir / perfect),
                 }
-                rows.push(Fig10Row {
-                    machine: machine.name.clone(),
-                    class,
-                    pct,
-                });
-            }
-        }
+            })
+            .collect();
         Fig10 { rows }
     }
 

@@ -7,8 +7,7 @@ use std::fmt;
 use fetchmech_pipeline::MachineModel;
 use fetchmech_workloads::WorkloadClass;
 
-use super::{Lab, LayoutVariant};
-use crate::metrics::harmonic_mean;
+use super::{Cell, Lab, LayoutVariant};
 use crate::scheme::SchemeKind;
 
 /// One machine group of Figure 11 (integer benchmarks only, as in the paper).
@@ -39,50 +38,33 @@ impl Fig11 {
     /// cells repeat Figure 9's, so after Figure 9 they are simulation-memo
     /// hits.
     pub fn run(lab: &Lab) -> Self {
-        let machines = MachineModel::paper_models();
-        let names = lab.class_names(WorkloadClass::Int);
-        let n = names.len();
-        let mut jobs = Vec::new();
-        for machine in &machines {
-            for scheme in SchemeKind::HARDWARE {
-                for &bench in &names {
-                    jobs.push((machine.clone(), scheme, bench));
-                }
-            }
-            let shifter = machine.clone().with_fetch_penalty(3);
-            for &bench in &names {
-                jobs.push((shifter.clone(), SchemeKind::CollapsingBuffer, bench));
-            }
-            for &bench in &names {
-                jobs.push((machine.clone(), SchemeKind::Perfect, bench));
-            }
-        }
-        let ipcs = lab.runner().run(&jobs, |(machine, scheme, bench)| {
-            lab.run(machine, *scheme, bench, LayoutVariant::Natural)
-                .ipc()
-        });
-
-        let mut rows = Vec::new();
-        let mut idx = 0;
-        let take_mean = |idx: &mut usize| {
-            let m = harmonic_mean(&ipcs[*idx..*idx + n]);
-            *idx += n;
-            m
-        };
-        for machine in &machines {
-            let mut hardware = [0.0; 4];
-            for slot in &mut hardware {
-                *slot = take_mean(&mut idx);
-            }
-            let collapsing_penalty3 = take_mean(&mut idx);
-            let perfect = take_mean(&mut idx);
-            rows.push(Fig11Row {
-                machine: machine.name.clone(),
-                hardware,
-                collapsing_penalty3,
-                perfect,
-            });
-        }
+        let cells: Vec<[Cell; 6]> = MachineModel::paper_models()
+            .iter()
+            .map(|m| {
+                let shifter = m.clone().with_fetch_penalty(3);
+                [
+                    (m, SchemeKind::Sequential),
+                    (m, SchemeKind::InterleavedSequential),
+                    (m, SchemeKind::BankedSequential),
+                    (m, SchemeKind::CollapsingBuffer),
+                    (&shifter, SchemeKind::CollapsingBuffer),
+                    (m, SchemeKind::Perfect),
+                ]
+                .map(|(m, s)| Cell::new(m, s, LayoutVariant::Natural, WorkloadClass::Int))
+            })
+            .collect();
+        let rows = cells
+            .iter()
+            .zip(lab.mean_ipc(&cells))
+            .map(
+                |([c, ..], [s, i, b, coll, collapsing_penalty3, perfect])| Fig11Row {
+                    machine: c.machine.name.clone(),
+                    hardware: [s, i, b, coll],
+                    collapsing_penalty3,
+                    perfect,
+                },
+            )
+            .collect();
         Fig11 { rows }
     }
 }
@@ -120,10 +102,7 @@ mod tests {
         let fig = Fig11::run(&lab);
         assert_eq!(fig.rows.len(), 3);
         for r in &fig.rows {
-            let ipc_of = |scheme: SchemeKind| {
-                let idx = SchemeKind::HARDWARE.iter().position(|&s| s == scheme);
-                r.hardware[idx.expect("hardware scheme")]
-            };
+            let ipc_of = |scheme: SchemeKind| r.hardware[scheme as usize];
             // The extra penalty must cost performance...
             assert!(
                 r.collapsing_penalty3 < ipc_of(SchemeKind::CollapsingBuffer),

@@ -8,8 +8,7 @@ use std::fmt;
 use fetchmech_pipeline::MachineModel;
 use fetchmech_workloads::WorkloadClass;
 
-use super::{Lab, LayoutVariant};
-use crate::metrics::harmonic_mean;
+use super::{Cell, Lab, LayoutVariant};
 use crate::scheme::SchemeKind;
 
 /// One machine group of Figure 12.
@@ -30,11 +29,7 @@ impl Fig12Row {
     /// Reordered IPC of one scheme.
     #[must_use]
     pub fn reordered_of(&self, scheme: SchemeKind) -> f64 {
-        let idx = SchemeKind::ALL
-            .iter()
-            .position(|&s| s == scheme)
-            .expect("known scheme");
-        self.reordered[idx]
+        self.reordered[scheme as usize]
     }
 }
 
@@ -53,49 +48,33 @@ impl Fig12 {
     ///
     /// Panics if a reordered layout fails to build (an internal invariant).
     pub fn run(lab: &Lab) -> Self {
-        let machines = MachineModel::paper_models();
-        let names = lab.class_names(WorkloadClass::Int);
-        let n = names.len();
-        let mut jobs = Vec::new();
-        for machine in &machines {
-            for scheme in [SchemeKind::Sequential, SchemeKind::Perfect] {
-                for &bench in &names {
-                    jobs.push((machine.clone(), scheme, bench, LayoutVariant::Natural));
-                }
-            }
-            for scheme in SchemeKind::ALL {
-                for &bench in &names {
-                    jobs.push((machine.clone(), scheme, bench, LayoutVariant::Reordered));
-                }
-            }
-        }
-        let ipcs = lab
-            .runner()
-            .run(&jobs, |(machine, scheme, bench, variant)| {
-                lab.run(machine, *scheme, bench, *variant).ipc()
-            });
-
-        let mut rows = Vec::new();
-        let mut idx = 0;
-        let take_mean = |idx: &mut usize| {
-            let m = harmonic_mean(&ipcs[*idx..*idx + n]);
-            *idx += n;
-            m
-        };
-        for machine in &machines {
-            let sequential_unordered = take_mean(&mut idx);
-            let perfect_unordered = take_mean(&mut idx);
-            let mut reordered = [0.0; 5];
-            for slot in &mut reordered {
-                *slot = take_mean(&mut idx);
-            }
-            rows.push(Fig12Row {
-                machine: machine.name.clone(),
-                sequential_unordered,
-                reordered,
-                perfect_unordered,
-            });
-        }
+        let cells: Vec<[Cell; 7]> = MachineModel::paper_models()
+            .iter()
+            .map(|m| {
+                [
+                    (SchemeKind::Sequential, LayoutVariant::Natural),
+                    (SchemeKind::Perfect, LayoutVariant::Natural),
+                    (SchemeKind::Sequential, LayoutVariant::Reordered),
+                    (SchemeKind::InterleavedSequential, LayoutVariant::Reordered),
+                    (SchemeKind::BankedSequential, LayoutVariant::Reordered),
+                    (SchemeKind::CollapsingBuffer, LayoutVariant::Reordered),
+                    (SchemeKind::Perfect, LayoutVariant::Reordered),
+                ]
+                .map(|(scheme, variant)| Cell::new(m, scheme, variant, WorkloadClass::Int))
+            })
+            .collect();
+        let rows = cells
+            .iter()
+            .zip(lab.mean_ipc(&cells))
+            .map(
+                |([c, ..], [sequential_unordered, perfect_unordered, reordered @ ..])| Fig12Row {
+                    machine: c.machine.name.clone(),
+                    sequential_unordered,
+                    reordered,
+                    perfect_unordered,
+                },
+            )
+            .collect();
         Fig12 { rows }
     }
 }

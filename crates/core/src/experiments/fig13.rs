@@ -7,8 +7,7 @@ use std::fmt;
 use fetchmech_pipeline::MachineModel;
 use fetchmech_workloads::WorkloadClass;
 
-use super::{Lab, LayoutVariant};
-use crate::metrics::harmonic_mean;
+use super::{Cell, Lab, LayoutVariant};
 use crate::scheme::SchemeKind;
 
 /// One machine group of Figure 13 (integer benchmarks, harmonic-mean IPC of
@@ -45,47 +44,35 @@ impl Fig13 {
     ///
     /// Panics if a layout fails to build (an internal invariant).
     pub fn run(lab: &Lab) -> Self {
-        let machines = MachineModel::paper_models();
-        let names = lab.class_names(WorkloadClass::Int);
-        let n = names.len();
-        let cells = [
-            (SchemeKind::Sequential, LayoutVariant::Natural),
-            (SchemeKind::Sequential, LayoutVariant::PadAll),
-            (SchemeKind::Sequential, LayoutVariant::Reordered),
-            (SchemeKind::Sequential, LayoutVariant::PadTrace),
-            (SchemeKind::Perfect, LayoutVariant::Natural),
-        ];
-        let mut jobs = Vec::new();
-        for machine in &machines {
-            for (scheme, variant) in cells {
-                for &bench in &names {
-                    jobs.push((machine.clone(), scheme, bench, variant));
-                }
-            }
-        }
-        let ipcs = lab
-            .runner()
-            .run(&jobs, |(machine, scheme, bench, variant)| {
-                lab.run(machine, *scheme, bench, *variant).ipc()
-            });
-
-        let mut rows = Vec::new();
-        let mut idx = 0;
-        let take_mean = |idx: &mut usize| {
-            let m = harmonic_mean(&ipcs[*idx..*idx + n]);
-            *idx += n;
-            m
-        };
-        for machine in &machines {
-            rows.push(Fig13Row {
-                machine: machine.name.clone(),
-                unordered: take_mean(&mut idx),
-                pad_all: take_mean(&mut idx),
-                reordered: take_mean(&mut idx),
-                pad_trace: take_mean(&mut idx),
-                perfect_unordered: take_mean(&mut idx),
-            });
-        }
+        let cells: Vec<[Cell; 5]> = MachineModel::paper_models()
+            .iter()
+            .map(|m| {
+                [
+                    (SchemeKind::Sequential, LayoutVariant::Natural),
+                    (SchemeKind::Sequential, LayoutVariant::PadAll),
+                    (SchemeKind::Sequential, LayoutVariant::Reordered),
+                    (SchemeKind::Sequential, LayoutVariant::PadTrace),
+                    (SchemeKind::Perfect, LayoutVariant::Natural),
+                ]
+                .map(|(scheme, variant)| Cell::new(m, scheme, variant, WorkloadClass::Int))
+            })
+            .collect();
+        let rows = cells
+            .iter()
+            .zip(lab.mean_ipc(&cells))
+            .map(
+                |([c, ..], [unordered, pad_all, reordered, pad_trace, perfect_unordered])| {
+                    Fig13Row {
+                        machine: c.machine.name.clone(),
+                        unordered,
+                        pad_all,
+                        reordered,
+                        pad_trace,
+                        perfect_unordered,
+                    }
+                },
+            )
+            .collect();
         Fig13 { rows }
     }
 }

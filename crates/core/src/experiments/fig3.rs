@@ -4,11 +4,9 @@
 
 use std::fmt;
 
-use fetchmech_pipeline::MachineModel;
 use fetchmech_workloads::WorkloadClass;
 
-use super::{class_label, Lab, LayoutVariant};
-use crate::metrics::harmonic_mean;
+use super::{class_label, scheme_rows, Lab};
 use crate::scheme::SchemeKind;
 
 /// One bar pair of Figure 3.
@@ -40,47 +38,20 @@ pub struct Fig3 {
 }
 
 impl Fig3 {
-    /// Runs the experiment: the (machine × class × benchmark × scheme) grid
-    /// is expanded into independent jobs, executed on the lab's worker pool,
-    /// and folded back in deterministic grid order.
+    /// Runs the experiment: one (sequential, perfect) pair of cells per
+    /// (machine, class).
     pub fn run(lab: &Lab) -> Self {
-        let machines = MachineModel::paper_models();
-        let classes = [WorkloadClass::Int, WorkloadClass::Fp];
-        let mut jobs = Vec::new();
-        for machine in &machines {
-            for class in classes {
-                for bench in lab.class_names(class) {
-                    for scheme in [SchemeKind::Sequential, SchemeKind::Perfect] {
-                        jobs.push((machine.clone(), scheme, bench));
-                    }
-                }
-            }
-        }
-        let ipcs = lab.runner().run(&jobs, |(machine, scheme, bench)| {
-            lab.run(machine, *scheme, bench, LayoutVariant::Natural)
-                .ipc()
-        });
-
-        let mut rows = Vec::new();
-        let mut idx = 0;
-        for machine in &machines {
-            for class in classes {
-                let n = lab.class_names(class).len();
-                let mut seq = Vec::with_capacity(n);
-                let mut per = Vec::with_capacity(n);
-                for _ in 0..n {
-                    seq.push(ipcs[idx]);
-                    per.push(ipcs[idx + 1]);
-                    idx += 2;
-                }
-                rows.push(Fig3Row {
-                    machine: machine.name.clone(),
-                    class,
-                    sequential: harmonic_mean(&seq),
-                    perfect: harmonic_mean(&per),
-                });
-            }
-        }
+        let cells = scheme_rows([SchemeKind::Sequential, SchemeKind::Perfect]);
+        let rows = cells
+            .iter()
+            .zip(lab.mean_ipc(&cells))
+            .map(|([c, _], [sequential, perfect])| Fig3Row {
+                machine: c.machine.name.clone(),
+                class: c.class,
+                sequential,
+                perfect,
+            })
+            .collect();
         Fig3 { rows }
     }
 

@@ -4,11 +4,9 @@
 
 use std::fmt;
 
-use fetchmech_pipeline::MachineModel;
 use fetchmech_workloads::WorkloadClass;
 
-use super::{class_label, Lab, LayoutVariant};
-use crate::metrics::harmonic_mean;
+use super::{class_label, scheme_rows, Lab};
 use crate::scheme::SchemeKind;
 
 /// One (machine, class) group of Figure 9: the IPC of every scheme.
@@ -26,11 +24,7 @@ impl Fig9Row {
     /// IPC of one scheme.
     #[must_use]
     pub fn ipc_of(&self, scheme: SchemeKind) -> f64 {
-        let idx = SchemeKind::ALL
-            .iter()
-            .position(|&s| s == scheme)
-            .expect("known scheme");
-        self.ipc[idx]
+        self.ipc[scheme as usize]
     }
 }
 
@@ -42,43 +36,18 @@ pub struct Fig9 {
 }
 
 impl Fig9 {
-    /// Runs the experiment on the lab's worker pool; the full
-    /// (machine × class × scheme × benchmark) grid runs as one job list.
+    /// Runs the experiment: one cell per scheme for each (machine, class).
     pub fn run(lab: &Lab) -> Self {
-        let machines = MachineModel::paper_models();
-        let classes = [WorkloadClass::Int, WorkloadClass::Fp];
-        let mut jobs = Vec::new();
-        for machine in &machines {
-            for class in classes {
-                for scheme in SchemeKind::ALL {
-                    for bench in lab.class_names(class) {
-                        jobs.push((machine.clone(), scheme, bench));
-                    }
-                }
-            }
-        }
-        let ipcs = lab.runner().run(&jobs, |(machine, scheme, bench)| {
-            lab.run(machine, *scheme, bench, LayoutVariant::Natural)
-                .ipc()
-        });
-
-        let mut rows = Vec::new();
-        let mut idx = 0;
-        for machine in &machines {
-            for class in classes {
-                let n = lab.class_names(class).len();
-                let mut ipc = [0.0; 5];
-                for slot in &mut ipc {
-                    *slot = harmonic_mean(&ipcs[idx..idx + n]);
-                    idx += n;
-                }
-                rows.push(Fig9Row {
-                    machine: machine.name.clone(),
-                    class,
-                    ipc,
-                });
-            }
-        }
+        let cells = scheme_rows(SchemeKind::ALL);
+        let rows = cells
+            .iter()
+            .zip(lab.mean_ipc(&cells))
+            .map(|([c, ..], ipc)| Fig9Row {
+                machine: c.machine.name.clone(),
+                class: c.class,
+                ipc,
+            })
+            .collect();
         Fig9 { rows }
     }
 }

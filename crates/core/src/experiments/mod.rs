@@ -17,10 +17,14 @@
 //! regenerated per run; per-instruction traces (`Arc<[DynInst]>`) feed the
 //! drivers that count instruction statistics (Tables 2 and 3).
 //!
-//! Drivers expand their (workload × scheme × machine × layout) grids into job
-//! lists and execute them on the lab's [`Runner`] worker pool; results are
-//! folded in deterministic grid order, so serial (`FETCHMECH_THREADS=1`) and
-//! parallel runs produce bit-identical output.
+//! Every simulated figure is a grid of cells — one (machine, scheme, layout,
+//! benchmark class) configuration each, reported as a mean over the class.
+//! A driver lists its cells once, in rows of the shape its result rows take,
+//! and `Lab::cells` expands them over the class's benchmarks, runs them as one
+//! job list on the lab's [`Runner`] worker pool, and hands back each cell's
+//! per-benchmark results in cell order, so serial (`FETCHMECH_THREADS=1`) and
+//! parallel runs produce bit-identical output. Tables 2–4 measure traces and
+//! layouts rather than simulations and run their own job lists.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -32,6 +36,7 @@ use fetchmech_isa::{BlockStream, DynInst, Layout, LayoutOptions, Program};
 use fetchmech_pipeline::MachineModel;
 use fetchmech_workloads::{suite, BehaviorMap, InputId, Workload, WorkloadClass, WorkloadSpec};
 
+use crate::metrics::harmonic_mean;
 use crate::runner::Runner;
 use crate::scheme::SchemeKind;
 use crate::sim::{measure_eir, simulate, EirResult, SimResult};
@@ -683,6 +688,49 @@ impl Lab {
         measure_eir(machine, scheme, &stream)
     }
 
+    /// Runs `f` on every benchmark of every cell in `rows`, as one job list
+    /// on the worker pool, and returns each cell's per-benchmark results
+    /// (suite order), shaped like `rows`.
+    pub(crate) fn cells<const K: usize, R: Send>(
+        &self,
+        rows: &[[Cell; K]],
+        f: impl Fn(&Cell, &'static str) -> R + Sync,
+    ) -> Vec<[Vec<R>; K]> {
+        let jobs: Vec<(&Cell, &'static str)> = rows
+            .as_flattened()
+            .iter()
+            .flat_map(|cell| {
+                self.class_names(cell.class)
+                    .into_iter()
+                    .map(move |b| (cell, b))
+            })
+            .collect();
+        let mut results = self
+            .runner()
+            .run(&jobs, |&(cell, bench)| f(cell, bench))
+            .into_iter();
+        rows.iter()
+            .map(|row| {
+                row.each_ref().map(|cell| {
+                    results
+                        .by_ref()
+                        .take(self.class(cell.class).len())
+                        .collect()
+                })
+            })
+            .collect()
+    }
+
+    /// Harmonic-mean IPC over each cell's benchmarks, shaped like `rows`.
+    pub(crate) fn mean_ipc<const K: usize>(&self, rows: &[[Cell; K]]) -> Vec<[f64; K]> {
+        self.cells(rows, |c, bench| {
+            self.run(&c.machine, c.scheme, bench, c.variant).ipc()
+        })
+        .into_iter()
+        .map(|row| row.map(|ipcs| harmonic_mean(&ipcs)))
+        .collect()
+    }
+
     /// Snapshot of the shared-cache hit/miss counters.
     #[must_use]
     pub fn cache_stats(&self) -> LabCacheStats {
@@ -701,6 +749,44 @@ impl Lab {
             sim_runs: self.runs.misses(),
         }
     }
+}
+
+/// One cell of an experiment grid: a machine, scheme and layout variant,
+/// measured on every benchmark of one class.
+#[derive(Debug, Clone)]
+pub(crate) struct Cell {
+    pub(crate) machine: MachineModel,
+    pub(crate) scheme: SchemeKind,
+    pub(crate) variant: LayoutVariant,
+    pub(crate) class: WorkloadClass,
+}
+
+impl Cell {
+    pub(crate) fn new(
+        machine: &MachineModel,
+        scheme: SchemeKind,
+        variant: LayoutVariant,
+        class: WorkloadClass,
+    ) -> Self {
+        Self {
+            machine: machine.clone(),
+            scheme,
+            variant,
+            class,
+        }
+    }
+}
+
+/// One row per (paper machine, class) — integer before floating point — of
+/// natural-layout cells, one cell per scheme.
+pub(crate) fn scheme_rows<const K: usize>(schemes: [SchemeKind; K]) -> Vec<[Cell; K]> {
+    MachineModel::paper_models()
+        .iter()
+        .flat_map(|m| {
+            [WorkloadClass::Int, WorkloadClass::Fp]
+                .map(|class| schemes.map(|s| Cell::new(m, s, LayoutVariant::Natural, class)))
+        })
+        .collect()
 }
 
 /// Formats a benchmark-class label the way the paper's figures do.
@@ -763,6 +849,46 @@ mod tests {
         }
         assert_eq!(lab.cache_stats().trace_generations, 1);
         assert_eq!(lab.cache_stats().trace_hits, 7);
+    }
+
+    #[test]
+    fn cells_match_a_serial_loop_in_cell_order() {
+        let lab = Lab::with_threads(ExpConfig::quick(), 2);
+        let (p14, p18) = (MachineModel::p14(), MachineModel::p18());
+        let int = Cell::new(
+            &p14,
+            SchemeKind::Sequential,
+            LayoutVariant::Natural,
+            WorkloadClass::Int,
+        );
+        let fp = Cell::new(
+            &p18,
+            SchemeKind::Perfect,
+            LayoutVariant::PadAll,
+            WorkloadClass::Fp,
+        );
+        let rows = [[int.clone(), fp.clone()], [fp, int]];
+        let run = |c: &Cell, bench| lab.run(&c.machine, c.scheme, bench, c.variant);
+
+        let lookups = |s: LabCacheStats| s.stream_hits + s.stream_builds;
+        let before = lookups(lab.cache_stats());
+        let grid = lab.cells(&rows, run);
+        let benches: u64 = rows
+            .as_flattened()
+            .iter()
+            .map(|c| lab.class_names(c.class).len() as u64)
+            .sum();
+        assert_eq!(lookups(lab.cache_stats()) - before, benches);
+
+        assert_eq!(grid.len(), rows.len());
+        for (cell, results) in rows.as_flattened().iter().zip(grid.iter().flatten()) {
+            let serial: Vec<SimResult> = lab
+                .class_names(cell.class)
+                .into_iter()
+                .map(|bench| run(cell, bench))
+                .collect();
+            assert_eq!(results, &serial, "{cell:?}");
+        }
     }
 
     #[test]

@@ -990,7 +990,7 @@ impl BlockFetchUnit {
         if n > 0 {
             self.fe.stats.packets += 1;
             self.fe.delivered += u64::from(n);
-            self.cursor.consume(n as usize);
+            self.cursor.advance_to(rec, off, n as usize);
             out.len = n;
             FetchOutcome::Delivered
         } else {

@@ -143,9 +143,10 @@ impl TraceCursor {
 /// The block-level analogue of [`TraceCursor`] over the same logical
 /// instruction sequence, but positioned as (record, offset) into the stream
 /// so the fast fetch path can admit whole template runs without touching
-/// individual instructions. `iter_ahead`/`consume` transparently cross
-/// segment boundaries, so any per-instruction consumer behaves exactly as it
-/// would over the materialized trace.
+/// individual instructions. `iter_ahead` transparently crosses segment
+/// boundaries, so any per-instruction consumer sees exactly the materialized
+/// trace; a fetch unit walks the records itself and hands the cursor the
+/// (record, offset) it stopped at.
 ///
 /// # Examples
 ///
@@ -159,9 +160,9 @@ impl TraceCursor {
 /// let stream = std::sync::Arc::new(BlockStream::from_insts(&insts));
 /// let mut cur = BlockCursor::new(stream);
 /// assert_eq!(cur.iter_ahead().nth(2).unwrap().addr, Addr::from_word_index(2));
-/// cur.consume(3);
+/// cur.advance_to(0, 3, 3); // three instructions into the one record
 /// assert_eq!(cur.iter_ahead().next().unwrap().addr, Addr::from_word_index(3));
-/// cur.consume(1);
+/// cur.advance_to(1, 0, 1); // past the last record
 /// assert!(cur.is_done());
 /// ```
 #[derive(Clone)]
@@ -199,27 +200,26 @@ impl BlockCursor {
         }
     }
 
-    /// Advances the cursor by `n` instructions.
+    /// Moves the cursor `n` instructions ahead, to offset `off` of record
+    /// `rec` — a position the caller has already walked to (record count
+    /// and offset 0 once exhausted).
     ///
     /// # Panics
     ///
-    /// Panics if fewer than `n` instructions remain.
+    /// Panics if (`rec`, `off`) is not a position of the stream.
     #[inline]
-    pub fn consume(&mut self, n: usize) {
+    pub fn advance_to(&mut self, rec: usize, off: usize, n: usize) {
         let records = self.stream.records();
-        let mut k = self.off + n;
-        while self.rec < records.len() {
-            let len = self.stream.template(records[self.rec]).len();
-            if k < len {
-                self.off = k;
-                self.pos += n as u64;
-                return;
-            }
-            k -= len;
-            self.rec += 1;
-        }
-        self.off = 0;
-        assert!(k == 0, "consumed past end of trace");
+        assert!(
+            records
+                .get(rec)
+                .map_or(rec == records.len() && off == 0, |&id| {
+                    off < self.stream.template(id).len()
+                }),
+            "advanced past end of stream"
+        );
+        self.rec = rec;
+        self.off = off;
         self.pos += n as u64;
     }
 
@@ -421,6 +421,22 @@ mod tests {
         t
     }
 
+    /// Advances `b` by `n` instructions the way a fetch unit does: walks the
+    /// template lengths to the new (record, offset), then hands it over.
+    fn advance(b: &mut BlockCursor, n: usize) {
+        let records = b.stream().records();
+        let (mut rec, mut off) = (b.record_index(), b.offset() + n);
+        while let Some(&id) = records.get(rec) {
+            let len = b.stream().template(id).len();
+            if off < len {
+                break;
+            }
+            off -= len;
+            rec += 1;
+        }
+        b.advance_to(rec, off, n);
+    }
+
     #[test]
     fn block_cursor_matches_trace_cursor() {
         let trace = looped_trace();
@@ -430,7 +446,7 @@ mod tests {
         let mut consumed = 0usize;
         for step in [0usize, 1, 2, 4, 0, 3, 1, 2] {
             let n = step.min(t.trace.len() - t.pos);
-            b.consume(n);
+            advance(&mut b, n);
             t.consume(n);
             consumed += n;
             let ahead: Vec<DynInst> = b.iter_ahead().copied().collect();
@@ -447,11 +463,11 @@ mod tests {
         let stream = std::sync::Arc::new(BlockStream::from_insts(&trace));
         let mut b = BlockCursor::new(stream);
         assert_eq!((b.record_index(), b.offset()), (0, 0));
-        b.consume(1);
+        advance(&mut b, 1);
         assert_eq!((b.record_index(), b.offset()), (0, 1));
-        b.consume(2);
+        advance(&mut b, 2);
         assert_eq!((b.record_index(), b.offset()), (1, 0));
-        b.consume(trace.len() - 3);
+        advance(&mut b, trace.len() - 3);
         assert_eq!(b.record_index(), b.stream().records().len());
         assert_eq!(b.offset(), 0);
         assert!(b.is_done());
@@ -463,7 +479,7 @@ mod tests {
         let trace = looped_trace();
         let stream = std::sync::Arc::new(BlockStream::from_insts(&trace));
         let mut b = BlockCursor::new(stream);
-        b.consume(trace.len() + 1);
+        advance(&mut b, trace.len() + 1);
     }
 
     #[test]

@@ -29,7 +29,8 @@ pub enum SchemeKind {
 
 impl SchemeKind {
     /// All schemes, in the paper's presentation order (ending with the
-    /// `perfect` bound).
+    /// `perfect` bound). The variants are declared in this order, so
+    /// `scheme as usize` indexes both this array and [`Self::HARDWARE`].
     pub const ALL: [SchemeKind; 5] = [
         SchemeKind::Sequential,
         SchemeKind::InterleavedSequential,
@@ -148,6 +149,14 @@ impl FromStr for SchemeKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn discriminants_index_all_and_hardware() {
+        for (i, k) in SchemeKind::ALL.into_iter().enumerate() {
+            assert_eq!(k as usize, i);
+        }
+        assert_eq!(SchemeKind::HARDWARE, SchemeKind::ALL[..4]);
+    }
 
     #[test]
     fn names_roundtrip() {

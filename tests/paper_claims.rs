@@ -2,19 +2,24 @@
 //! trace lengths. (The `report` binary regenerates the full tables; these
 //! tests pin the *shape* so regressions are caught by `cargo test`.)
 
+use std::sync::OnceLock;
+
 use fetchmech::experiments::{ExpConfig, Fig10, Fig12, Fig3, Fig9, Lab, Table2, Table3, Table4};
 use fetchmech::workloads::WorkloadClass;
 use fetchmech::SchemeKind;
 
-fn lab() -> Lab {
-    Lab::new(ExpConfig::quick())
+/// One quick lab shared by every test, so streams, layouts and simulation
+/// cells the claims have in common are built once.
+fn lab() -> &'static Lab {
+    static LAB: OnceLock<Lab> = OnceLock::new();
+    LAB.get_or_init(|| Lab::new(ExpConfig::quick()))
 }
 
 #[test]
 fn claim_better_fetching_is_needed_at_high_issue_rates() {
     // Figure 3: the sequential-vs-perfect gap grows with issue rate for
     // integer code and is smallest for FP on P14.
-    let fig = Fig3::run(&lab());
+    let fig = Fig3::run(lab());
     let int = fig.class_rows(WorkloadClass::Int);
     assert!(int[0].headroom() < int[2].headroom());
     for r in &fig.rows {
@@ -25,7 +30,7 @@ fn claim_better_fetching_is_needed_at_high_issue_rates() {
 #[test]
 fn claim_intra_block_branches_grow_with_block_size() {
     // Table 2: the phenomenon that motivates the collapsing buffer.
-    let t = Table2::run(&lab());
+    let t = Table2::run(lab());
     let grew = t.rows.iter().filter(|r| r.pct[2] > r.pct[0] + 5.0).count();
     assert!(grew >= 10, "only {grew}/15 benchmarks grew substantially");
     // Integer codes dominate at small blocks.
@@ -52,8 +57,7 @@ fn claim_intra_block_branches_grow_with_block_size() {
 #[test]
 fn claim_collapsing_buffer_is_the_most_robust_scheme() {
     // Figure 9 ordering plus Figure 10 scalability in one pass.
-    let lab = lab();
-    let fig9 = Fig9::run(&lab);
+    let fig9 = Fig9::run(lab());
     for r in &fig9.rows {
         let coll = r.ipc_of(SchemeKind::CollapsingBuffer);
         for other in [
@@ -72,7 +76,7 @@ fn claim_collapsing_buffer_is_the_most_robust_scheme() {
             );
         }
     }
-    let fig10 = Fig10::run(&lab);
+    let fig10 = Fig10::run(lab());
     for class in [WorkloadClass::Int, WorkloadClass::Fp] {
         let series = fig10.series(SchemeKind::CollapsingBuffer, class);
         // "consistently aligns instructions in excess of 90% of the time,
@@ -88,7 +92,7 @@ fn claim_collapsing_buffer_is_the_most_robust_scheme() {
 fn claim_sequential_decays_with_issue_rate() {
     // Figure 10: the other schemes decrease in relative efficiency from P14
     // to P112.
-    let fig = Fig10::run(&lab());
+    let fig = Fig10::run(lab());
     for class in [WorkloadClass::Int, WorkloadClass::Fp] {
         let seq = fig.series(SchemeKind::Sequential, class);
         assert!(
@@ -100,8 +104,7 @@ fn claim_sequential_decays_with_issue_rate() {
 
 #[test]
 fn claim_reordering_significantly_enhances_all_schemes() {
-    let lab = lab();
-    let fig12 = Fig12::run(&lab);
+    let fig12 = Fig12::run(lab());
     for r in &fig12.rows {
         assert!(r.reordered_of(SchemeKind::Sequential) > r.sequential_unordered);
         // "when collapsing buffer is used with reordering, it nearly matches
@@ -111,7 +114,7 @@ fn claim_reordering_significantly_enhances_all_schemes() {
                 > 0.88 * r.reordered_of(SchemeKind::Perfect)
         );
     }
-    let t3 = Table3::run(&lab);
+    let t3 = Table3::run(lab());
     let mean: f64 = t3.rows.iter().map(|r| r.reduction_pct()).sum::<f64>() / t3.rows.len() as f64;
     assert!(
         mean > 15.0,
@@ -121,7 +124,7 @@ fn claim_reordering_significantly_enhances_all_schemes() {
 
 #[test]
 fn claim_pad_trace_is_a_cheap_refinement_and_pad_all_is_not() {
-    let t4 = Table4::run(&lab());
+    let t4 = Table4::run(lab());
     for r in &t4.rows {
         // "Pad-trace introduces significantly less nops than pad-all."
         for i in 0..3 {
