@@ -76,6 +76,12 @@ fi
 diff -u ci/report-quick.txt "$report_out"
 rm -f "$report_out"
 
+echo "==> report, full length (the 300k-instruction run EXPERIMENTS.md reports, pinned to ci/report-full.txt)"
+report_out="$(mktemp)"
+cargo run --release --offline -q --bin report >"$report_out"
+diff -u ci/report-full.txt "$report_out"
+rm -f "$report_out"
+
 echo "==> perfbench golden (driver output digests and exact Lab cache counters)"
 # The benchmark's paper-grid workload checks each run against this file; the
 # stage catches a drift here before the benchmark does.

@@ -863,17 +863,7 @@ fn check_flow(app: &PassApplication, profile: &Profile, sink: &mut DiagnosticSin
     let before = &app.before;
     let after = &app.after;
     // Project the original-program profile onto the before program.
-    let block_count: Vec<u64> = app
-        .block_origin_before
-        .iter()
-        .map(|&o| profile.block_count(o))
-        .collect();
-    let (taken, total): (Vec<u64>, Vec<u64>) = app
-        .branch_origin_before
-        .iter()
-        .map(|&o| profile.branch_counts(o))
-        .unzip();
-    let prof = Profile::from_raw(block_count, taken, total);
+    let prof = profile.project(&app.block_origin_before, &app.branch_origin_before);
 
     let mut surviving: HashSet<(u32, u32)> = HashSet::new();
     for blk in after.blocks() {
@@ -1233,23 +1223,7 @@ pub fn eir_delta(
     let profile_after = match measured_after {
         Some(p) => p,
         None => {
-            projected = Profile::from_raw(
-                optimized
-                    .block_origin
-                    .iter()
-                    .map(|&o| profile.block_count(o))
-                    .collect(),
-                optimized
-                    .branch_origin
-                    .iter()
-                    .map(|&o| profile.branch_counts(o).0)
-                    .collect(),
-                optimized
-                    .branch_origin
-                    .iter()
-                    .map(|&o| profile.branch_counts(o).1)
-                    .collect(),
-            );
+            projected = profile.project(&optimized.block_origin, &optimized.branch_origin);
             &projected
         }
     };

@@ -171,21 +171,11 @@ fn identity_branches(n: u32) -> Vec<BranchId> {
     (0..n).map(BranchId).collect()
 }
 
-/// Remaps `profile` (original-program dimensions) onto `cur` through the
-/// cumulative origin maps: every descendant block or branch inherits its
-/// original's counts. Duplicates double-count flow, which is fine for the
-/// heuristic uses (trace seeding) this feeds.
-fn remap_profile(profile: &Profile, cum_block: &[BlockId], cum_branch: &[BranchId]) -> Profile {
-    let block_count = cum_block.iter().map(|&o| profile.block_count(o)).collect();
-    let (taken, total) = cum_branch.iter().map(|&o| profile.branch_counts(o)).unzip();
-    Profile::from_raw(block_count, taken, total)
-}
-
 /// Inverts conditional branches whose *taken* edge leads to the next block
 /// in `order`, so the hot path falls through. Returns the edited program
-/// and the inversion count. (The same transform `reorder` applies, exposed
-/// as a standalone pipeline pass.)
-fn straighten(program: &Program, order: &[BlockId]) -> (Program, usize) {
+/// and the inversion count. The pipeline's `straighten` pass, and the last
+/// step of `reorder`.
+pub(crate) fn straighten(program: &Program, order: &[BlockId]) -> (Program, usize) {
     let position: HashMap<BlockId, usize> =
         order.iter().enumerate().map(|(i, &b)| (b, i)).collect();
     let mut edits = HashMap::new();
@@ -282,7 +272,7 @@ pub fn optimize(
                 )
             }
             PassKind::Superblock => {
-                let prof = remap_profile(profile, &cum_block, &cum_branch);
+                let prof = profile.project(&cum_block, &cum_branch);
                 let r = superblock(&cur, &prof, &config.trace, config.growth_limit);
                 (
                     r.program,

@@ -65,8 +65,9 @@ impl Profile {
 
     /// Builds a profile from raw per-block and per-branch count vectors.
     ///
-    /// Intended for analysis tooling and tests that need to construct (or
-    /// deliberately corrupt) profiles without running an executor. `taken`
+    /// Intended for tests that need to construct (or deliberately corrupt)
+    /// profiles without running an executor; a profile of a derived program
+    /// comes from [`Profile::project`]. `taken`
     /// and `total` must have equal length; dimensions against any particular
     /// program are *not* checked here — that is the analysis layer's job.
     ///
@@ -78,6 +79,25 @@ impl Profile {
         assert_eq!(taken.len(), total.len(), "taken/total length mismatch");
         Self {
             block_count,
+            taken,
+            total,
+        }
+    }
+
+    /// Projects this profile onto a program derived from the profiled one:
+    /// block `i` of the derived program gets the counts of `block_origin[i]`
+    /// and branch `j` those of `branch_origin[j]`. A duplicate inherits its
+    /// origin's full counts, so duplicated flow is counted twice; branch
+    /// directions, which is what trace seeding and chaining read, survive.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an origin is out of range for this profile.
+    #[must_use]
+    pub fn project(&self, block_origin: &[BlockId], branch_origin: &[BranchId]) -> Self {
+        let (taken, total) = branch_origin.iter().map(|&o| self.branch_counts(o)).unzip();
+        Self {
+            block_count: block_origin.iter().map(|&o| self.block_count(o)).collect(),
             taken,
             total,
         }
@@ -214,6 +234,17 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn project_copies_counts_through_the_origin_maps() {
+        let p = Profile::from_raw(vec![5, 7, 0], vec![3, 1], vec![4, 2]);
+        let (b, br) = (BlockId, BranchId);
+        assert_eq!(p.project(&[b(0), b(1), b(2)], &[br(0), br(1)]), p);
+        // Block 3 is a copy of block 1, branch 2 a copy of branch 0.
+        let q = p.project(&[b(0), b(1), b(2), b(1)], &[br(0), br(1), br(0)]);
+        let want = Profile::from_raw(vec![5, 7, 0, 7], vec![3, 1, 3], vec![4, 2, 4]);
+        assert_eq!(q, want);
     }
 
     #[test]

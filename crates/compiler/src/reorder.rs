@@ -1,18 +1,24 @@
 //! Code reordering: trace layout with branch-sense inversion (§4's
 //! profile-driven optimization).
 //!
-//! Traces are placed function by function in descending weight; within a
-//! trace, blocks are sequential. Conditional branches whose *taken* edge
-//! leads to the next laid block are inverted so the hot path falls through,
-//! which is what removes dynamic taken branches (Table 3) and lengthens the
-//! sequential runs every fetch mechanism feeds on (Figure 12).
+//! Traces are selected on the profile, then placed by the superblock former
+//! at zero code growth: function by function, in flow order (each trace at
+//! its head's natural position), with each placed trace pulling in the trace
+//! that starts at its tail's most likely successor. Within a trace, blocks
+//! are sequential. Branch straightening then inverts every conditional
+//! branch whose *taken* edge leads to the next laid block, so the hot path
+//! falls through, which is what removes dynamic taken branches (Table 3) and
+//! lengthens the sequential runs every fetch mechanism feeds on
+//! (Figure 12).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
-use fetchmech_isa::{BlockId, Layout, LayoutError, LayoutOptions, PadMode, Program, Terminator};
+use fetchmech_isa::{BlockId, Layout, LayoutError, LayoutOptions, PadMode, Program};
 
+use crate::passes::straighten;
 use crate::profile::Profile;
-use crate::traceselect::{select_traces, Trace, TraceSelectConfig};
+use crate::superblock::form_superblocks;
+use crate::traceselect::{select_traces, TraceSelectConfig};
 
 /// The result of code reordering: the edited program, the block order, and
 /// the trace-end set (for the pad-trace optimization).
@@ -61,7 +67,11 @@ impl Reordered {
 #[must_use]
 pub fn reorder(program: &Program, profile: &Profile, config: &TraceSelectConfig) -> Reordered {
     let traces = select_traces(program, profile, config);
-    let order = layout_order(program, profile, &traces);
+    // With no growth budget the former duplicates nothing: it returns the
+    // input program and only places and chains the traces.
+    let placed = form_superblocks(program, profile, &traces, 0.0);
+    debug_assert_eq!(placed.formed, 0, "zero growth duplicated a tail");
+    let (edited, inverted_branches) = straighten(&placed.program, &placed.order);
     // Only traces the profile actually saw get padded ends: padding cold
     // singleton traces would inflate code size with nops that buy nothing.
     let trace_ends: HashSet<BlockId> = traces
@@ -69,102 +79,14 @@ pub fn reorder(program: &Program, profile: &Profile, config: &TraceSelectConfig)
         .filter(|t| t.weight > 0)
         .map(|t| *t.blocks.last().expect("nonempty trace"))
         .collect();
-
-    // Invert conditional branches whose taken edge goes to the next block.
-    let position: HashMap<BlockId, usize> =
-        order.iter().enumerate().map(|(i, &b)| (b, i)).collect();
-    let mut edits = HashMap::new();
-    let mut inverted_branches = 0;
-    for block in program.blocks() {
-        if let Terminator::CondBranch {
-            id,
-            srcs,
-            taken,
-            fall,
-            inverted,
-        } = block.terminator
-        {
-            let next = order.get(position[&block.id] + 1).copied();
-            if Some(taken) == next && taken != fall {
-                edits.insert(
-                    block.id,
-                    Terminator::CondBranch {
-                        id,
-                        srcs,
-                        taken: fall,
-                        fall: taken,
-                        inverted: !inverted,
-                    },
-                );
-                inverted_branches += 1;
-            }
-        }
-    }
     let reordered = Reordered {
-        program: program
-            .with_terminators(&edits)
-            .expect("sense inversion preserves program validity"),
-        order,
+        program: edited,
+        order: placed.order,
         trace_ends,
         inverted_branches,
     };
     crate::hooks::check_reorder(program, &reordered);
     reordered
-}
-
-/// Places traces function-major (functions in original order, for call
-/// locality). Within a function, traces are chained Pettis-Hansen style:
-/// after placing a trace, the next trace is the one whose head is the most
-/// likely successor of the placed trace's tail — turning trace-to-trace
-/// transitions into fall-throughs instead of materialized jumps — falling
-/// back to the heaviest unplaced trace when the chain breaks.
-fn layout_order(program: &Program, profile: &Profile, traces: &[Trace]) -> Vec<BlockId> {
-    let mut by_func: Vec<Vec<&Trace>> = vec![Vec::new(); program.num_funcs()];
-    for t in traces {
-        let f = program.block(t.blocks[0]).func;
-        by_func[f.0 as usize].push(t);
-    }
-    let mut order = Vec::with_capacity(program.num_blocks());
-    for mut traces in by_func {
-        // Flow order (the natural position of each trace's head) keeps join
-        // traces near their predecessors, so trace-to-trace transitions tend
-        // to be fall-throughs; the chain step below then pulls the actual
-        // successor trace adjacent whenever it can. Weight still breaks ties
-        // via the chain preference.
-        traces.sort_by_key(|t| t.blocks.iter().map(|b| b.0).min().unwrap_or(u32::MAX));
-        let mut placed = vec![false; traces.len()];
-        let head_of: HashMap<BlockId, usize> = traces
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.blocks[0], i))
-            .collect();
-        let mut last_tail: Option<BlockId> = None;
-        for _ in 0..traces.len() {
-            // Prefer the chain successor of the last placed tail.
-            let next = last_tail
-                .and_then(|tail| {
-                    profile
-                        .edge_weights(program, tail)
-                        .into_iter()
-                        .filter(|&(_, w)| w > 0.0)
-                        .max_by(|a, b| a.1.total_cmp(&b.1))
-                        .map(|(succ, _)| succ)
-                })
-                .and_then(|succ| head_of.get(&succ).copied())
-                .filter(|&i| !placed[i])
-                .unwrap_or_else(|| {
-                    traces
-                        .iter()
-                        .enumerate()
-                        .position(|(i, _)| !placed[i])
-                        .expect("unplaced trace remains")
-                });
-            placed[next] = true;
-            order.extend(traces[next].blocks.iter().copied());
-            last_tail = traces[next].blocks.last().copied();
-        }
-    }
-    order
 }
 
 #[cfg(test)]

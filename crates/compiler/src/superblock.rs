@@ -21,7 +21,7 @@ use std::collections::{HashMap, HashSet};
 use fetchmech_isa::{BlockId, BranchId, CfgView, Program, Terminator};
 
 use crate::profile::Profile;
-use crate::traceselect::{select_traces, TraceSelectConfig};
+use crate::traceselect::{select_traces, Trace, TraceSelectConfig};
 
 /// The result of superblock formation.
 #[derive(Debug, Clone)]
@@ -87,6 +87,18 @@ pub fn superblock(
     growth_limit: f64,
 ) -> SuperblockResult {
     let traces = select_traces(program, profile, config);
+    form_superblocks(program, profile, &traces, growth_limit)
+}
+
+/// [`superblock`] over already selected `traces`. At a zero `growth_limit`
+/// nothing is duplicated: the result is the input program, identity maps,
+/// and the chained trace order, which is how `reorder` places its traces.
+pub(crate) fn form_superblocks(
+    program: &Program,
+    profile: &Profile,
+    traces: &[Trace],
+    growth_limit: f64,
+) -> SuperblockResult {
     let view = CfgView::local(program);
     let entries: HashSet<BlockId> = program.func_entries().iter().copied().collect();
 
@@ -190,18 +202,8 @@ pub fn superblock(
     // their origin's counts. This overstates duplicate hotness (flow splits
     // between original and copy) but preserves branch directions, which is
     // all the chaining below needs.
-    let new_profile = Profile::from_raw(
-        rel_block.iter().map(|&o| profile.block_count(o)).collect(),
-        rel_branch
-            .iter()
-            .map(|&o| profile.branch_counts(o).0)
-            .collect(),
-        rel_branch
-            .iter()
-            .map(|&o| profile.branch_counts(o).1)
-            .collect(),
-    );
-    let order = layout_order(&new_program, &new_profile, &traces, &chains, &rel_block);
+    let new_profile = profile.project(&rel_block, &rel_branch);
+    let order = layout_order(&new_program, &new_profile, traces, &chains, &rel_block);
     let result = SuperblockResult {
         program: new_program,
         order,
@@ -218,16 +220,16 @@ pub fn superblock(
 ///
 /// Each trace and each duplicate chain is a unit. Within a function, units
 /// start in flow order (minimum *origin* block id, so a duplicate chain
-/// starts out next to the code it was copied from), then — mirroring
-/// `reorder`'s Pettis-Hansen chaining — each placed unit pulls the unplaced
-/// unit whose head is the most likely successor of its tail. Without the
-/// chain step, unit-to-unit transitions that are `FallThrough` edges in the
-/// CFG land non-adjacent and materialize as jump instructions, *adding*
-/// taken breaks instead of removing them.
+/// starts out next to the code it was copied from, and join traces near
+/// their predecessors), then, Pettis-Hansen style, each placed unit pulls
+/// the unplaced unit whose head is the most likely successor of its tail.
+/// Without the chain step, unit-to-unit transitions that are `FallThrough`
+/// edges in the CFG land non-adjacent and materialize as jump instructions,
+/// *adding* taken breaks instead of removing them.
 fn layout_order(
     program: &Program,
     profile: &Profile,
-    traces: &[crate::traceselect::Trace],
+    traces: &[Trace],
     chains: &[Vec<BlockId>],
     rel_block: &[BlockId],
 ) -> Vec<BlockId> {
@@ -378,8 +380,23 @@ mod tests {
             let budget = (limit * w.program.static_inst_upper_bound() as f64) as usize;
             assert!(grown <= budget, "grew {grown} > budget {budget}");
         }
-        let zero = superblock(&w.program, &p, &TraceSelectConfig::default(), 0.0);
-        assert_eq!(zero.formed, 0);
-        assert_eq!(zero.program, w.program);
+    }
+
+    #[test]
+    fn zero_growth_only_places_code() {
+        // `reorder` places its traces through the former at zero growth, so
+        // the former must then leave every program, block and branch as is.
+        for w in suite::full_suite() {
+            let name = &w.spec.name;
+            let p = Profile::collect(&w, &InputId::PROFILE, 10_000);
+            let r = superblock(&w.program, &p, &TraceSelectConfig::default(), 0.0);
+            assert_eq!(r.formed, 0, "{name}");
+            assert!(r.duplicated.is_empty(), "{name}");
+            let blocks: Vec<BlockId> = (0..w.program.num_blocks() as u32).map(BlockId).collect();
+            let branches: Vec<BranchId> = (0..w.program.num_branches()).map(BranchId).collect();
+            assert_eq!(r.rel_block, blocks, "{name}");
+            assert_eq!(r.rel_branch, branches, "{name}");
+            assert_eq!(r.program, w.program, "{name}");
+        }
     }
 }

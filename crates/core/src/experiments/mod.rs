@@ -282,6 +282,11 @@ pub struct LabCacheStats {
     /// Simulations [`Lab::run`] actually ran (one per distinct
     /// (stream key, machine, scheme) cell).
     pub sim_runs: u64,
+    /// [`Lab::eir`] results returned from the EIR memo.
+    pub eir_hits: u64,
+    /// EIR measurements [`Lab::eir`] actually ran (one per distinct
+    /// (stream key, machine, scheme) cell).
+    pub eir_runs: u64,
 }
 
 impl LabCacheStats {
@@ -303,6 +308,8 @@ impl LabCacheStats {
             ("reorder_builds", Value::Uint(self.reorder_builds)),
             ("sim_hits", Value::Uint(self.sim_hits)),
             ("sim_runs", Value::Uint(self.sim_runs)),
+            ("eir_hits", Value::Uint(self.eir_hits)),
+            ("eir_runs", Value::Uint(self.eir_runs)),
         ])
     }
 }
@@ -335,6 +342,8 @@ pub struct Lab {
     /// [`Lab::run`] results. The whole machine is the key, `name` included,
     /// because [`SimResult::machine`] carries the name.
     runs: Memo<(TraceKey, MachineModel, SchemeKind), SimResult>,
+    /// [`Lab::eir`] results, keyed like `runs`.
+    eirs: Memo<(TraceKey, MachineModel, SchemeKind), EirResult>,
 }
 
 impl Lab {
@@ -376,6 +385,7 @@ impl Lab {
             traces: Memo::new(),
             streams: Memo::new(),
             runs: Memo::new(),
+            eirs: Memo::new(),
         }
     }
 
@@ -676,7 +686,9 @@ impl Lab {
             })
     }
 
-    /// Fetch-only EIR measurement of `bench` under `variant` on `machine`.
+    /// Fetch-only EIR measurement of `bench` under `variant` on `machine`,
+    /// measured exactly once per (stream, machine, scheme) and shared. Like
+    /// [`Lab::run`], every call counts as one stream-cache lookup.
     pub fn eir(
         &self,
         machine: &MachineModel,
@@ -684,8 +696,12 @@ impl Lab {
         bench: &'static str,
         variant: LayoutVariant,
     ) -> EirResult {
-        let stream = self.test_stream(bench, variant, machine.block_bytes);
-        measure_eir(machine, scheme, &stream)
+        let key = self.test_key(bench, variant, machine.block_bytes);
+        let stream = self.stream(key);
+        self.eirs
+            .get_or_compute((key, machine.clone(), scheme), || {
+                measure_eir(machine, scheme, &stream)
+            })
     }
 
     /// Runs `f` on every benchmark of every cell in `rows`, as one job list
@@ -747,6 +763,8 @@ impl Lab {
             reorder_builds: self.reordered.misses(),
             sim_hits: self.runs.hits(),
             sim_runs: self.runs.misses(),
+            eir_hits: self.eirs.hits(),
+            eir_runs: self.eirs.misses(),
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Exactness of the [`Lab`] shared-cache counters under thread contention.
 //!
 //! The lab promises every expensive artifact (layout, trace, block stream,
-//! simulation result) is computed *exactly once per process* no matter how many worker threads
+//! simulation and EIR result) is computed *exactly once per process* no matter how many worker threads
 //! request it concurrently, and that repeat requesters share the same
 //! allocation. The counters in [`LabCacheStats`] make that auditable, so this
 //! test drives a known request mix from many threads and asserts the exact
@@ -13,7 +13,7 @@ use fetchmech::experiments::{ExpConfig, Lab, LabCacheStats, LayoutVariant, Trace
 use fetchmech::isa::DynInst;
 use fetchmech::pipeline::MachineModel;
 use fetchmech::workloads::InputId;
-use fetchmech::{simulate, SchemeKind, SimResult};
+use fetchmech::{measure_eir, simulate, SchemeKind, SimResult};
 
 const THREADS: usize = 8;
 const REPEATS: usize = 4;
@@ -99,6 +99,8 @@ fn cache_counters_are_exact_under_contention() {
             reorder_builds: 0,
             sim_hits: 0,
             sim_runs: 0,
+            eir_hits: 0,
+            eir_runs: 0,
         }
     );
 
@@ -175,10 +177,20 @@ fn memo_hits_equal_a_fresh_simulation() {
         let fresh = simulate(&machine, scheme, &stream);
         assert_eq!(hit, fresh, "{scheme:?}: memo hit differs from simulate");
         assert_eq!(first, fresh);
+        let eir = || lab.eir(&machine, scheme, "gcc", LayoutVariant::Reordered);
+        let fresh = measure_eir(&machine, scheme, &stream);
+        assert_eq!(
+            [eir(), eir()],
+            [fresh.clone(), fresh],
+            "{scheme:?}: EIR memo"
+        );
     }
     let stats = lab.cache_stats();
-    assert_eq!(stats.sim_runs, SchemeKind::ALL.len() as u64);
-    assert_eq!(stats.sim_hits, SchemeKind::ALL.len() as u64);
+    let n = SchemeKind::ALL.len() as u64;
+    assert_eq!((stats.sim_runs, stats.sim_hits), (n, n));
+    assert_eq!((stats.eir_runs, stats.eir_hits), (n, n));
+    // Every `run` and `eir` call is one stream lookup, hit or miss.
+    assert_eq!(stats.stream_builds + stats.stream_hits, 5 * n);
 }
 
 #[test]

@@ -371,15 +371,18 @@ fn lint_benchmark(
     let config = TraceSelectConfig::default();
     let traces = select_traces(&w.program, &profile, &config);
     let reordered = lab.reordered(name);
-    // Each variant's layout with the program it lays out.
+    // Each variant's layout with the program it lays out, and the block
+    // stream the simulator runs on it.
     let laid =
         LayoutVariant::ALL.map(|v| (lab.workload(name, v), lab.layout(name, v, BLOCK_BYTES)));
+    let streams = LayoutVariant::ALL.map(|v| lab.test_stream(name, v, BLOCK_BYTES));
 
     let mut targets = vec![Target::Program(&w.program)];
     targets.extend(laid.iter().map(|(exec, layout)| Target::Layout {
         program: &exec.program,
         layout,
     }));
+    targets.extend(streams.iter().map(|s| Target::Stream(s)));
     targets.extend([
         Target::Profile {
             program: &w.program,

@@ -99,7 +99,7 @@ fn main() -> ExitCode {
     eprintln!(
         "# shared caches: {} simulations run / {} hits, {} streams built / {} hits, \
          {} traces generated / {} hits, {} layouts built / {} hits, {} profiles collected, \
-         {} reorderings",
+         {} reorderings, {} EIR measurements / {} hits",
         stats.sim_runs,
         stats.sim_hits,
         stats.stream_builds,
@@ -109,7 +109,9 @@ fn main() -> ExitCode {
         stats.layout_builds,
         stats.layout_hits,
         stats.profile_collections,
-        stats.reorder_builds
+        stats.reorder_builds,
+        stats.eir_runs,
+        stats.eir_hits
     );
     ExitCode::SUCCESS
 }

@@ -42,6 +42,14 @@ use engine::{EngineShared, Outcome, Shed, SimJob, WaitResult};
 use http::{ReadError, Request, Response};
 use metrics::Metrics;
 
+/// How long [`Server::shutdown`] waits for open connections to finish
+/// before abandoning them.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Bounded backlog of the store's write-behind channel; overflow drops
+/// persists (never blocks the request path).
+const STORE_QUEUE: usize = 256;
+
 /// Everything configurable about the service.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -66,15 +74,9 @@ pub struct ServeConfig {
     pub max_insts: u64,
     /// Lab sizing (trace lengths used by profiling/reordering).
     pub exp: ExpConfig,
-    /// How long [`Server::shutdown`] waits for open connections to finish
-    /// before abandoning them.
-    pub drain_timeout: Duration,
     /// When set, results persist to this append-only store log and survive
     /// restarts; `None` keeps the service purely in-memory.
     pub store_path: Option<PathBuf>,
-    /// Bounded backlog of the store's write-behind channel; overflow drops
-    /// persists (never blocks the request path).
-    pub store_queue: usize,
     /// Deterministic fault schedule (store I/O + worker panics); `None` in
     /// production.
     pub fault: Option<FaultPlan>,
@@ -98,9 +100,7 @@ impl Default for ServeConfig {
             default_insts: 20_000,
             max_insts: 500_000,
             exp: ExpConfig::full(),
-            drain_timeout: Duration::from_secs(30),
             store_path: None,
-            store_queue: 256,
             fault: None,
             read_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(10),
@@ -172,7 +172,6 @@ pub struct Server {
     conns: Arc<ConnTracker>,
     queue: Arc<JobQueue<SimJob>>,
     shared: Arc<EngineShared>,
-    drain_timeout: Duration,
 }
 
 /// Accept-time knobs shared by every connection.
@@ -222,7 +221,7 @@ impl Server {
                     Some(plan) => Arc::new(*plan),
                     None => Arc::new(NoFault),
                 };
-                match Store::open(path.clone(), fault, config.store_queue) {
+                match Store::open(path.clone(), fault, STORE_QUEUE) {
                     Ok(store) => {
                         let report = store.recovery();
                         eprintln!(
@@ -292,7 +291,6 @@ impl Server {
             conns,
             queue,
             shared,
-            drain_timeout: config.drain_timeout,
         })
     }
 
@@ -303,11 +301,11 @@ impl Server {
     }
 
     /// Graceful shutdown: stop accepting, wait for open connections (up to
-    /// the configured drain timeout), then close the job queue, drain any
-    /// queued work, and flush the store's persistence backlog.
+    /// 30 s), then close the job queue, drain any queued work, and flush the
+    /// store's persistence backlog.
     pub fn shutdown(mut self) {
         self.stop_accepting();
-        self.conns.drain(self.drain_timeout);
+        self.conns.drain(DRAIN_TIMEOUT);
         self.queue.close();
         self.queue.drain();
         if let Some(store) = &self.shared.store {
