@@ -102,11 +102,12 @@ echo "==> perf gate: block-stream path vs per-instruction path (writes BENCH_PR8
 # single-core reference box (see EXPERIMENTS.md for the measured numbers).
 FETCHMECH_PERF_GATE=2.0 cargo run --release -q -p fetchmech-repro --example runner_bench
 # Instruction-count-stable gate: the deterministic work counters in the
-# report (simulated cycles, retired/delivered instructions, stream records)
-# must match ci/expected_work.json exactly. Any drift means the simulation
-# or the stream representation changed behavior — update the expected file
-# only as part of a deliberate, reviewed change.
-for key in grid_jobs trace_len stream_insts stream_records stream_templates \
+# report (simulated cycles, retired/delivered instructions, stream records,
+# stream bytes) must match ci/expected_work.json exactly. Any drift means the
+# simulation or the stream representation changed behavior (stream_bytes
+# moves with the size of the per-instruction record) — update the expected
+# file only as part of a deliberate, reviewed change.
+for key in grid_jobs trace_len stream_insts stream_records stream_templates stream_bytes \
            total_cycles total_retired total_delivered total_eir_cycles; do
     want="$(sed -n "s/^ *\"$key\": \([0-9][0-9]*\).*/\1/p" ci/expected_work.json)"
     got="$(sed -n "s/^ *\"$key\": \([0-9][0-9]*\).*/\1/p" BENCH_PR8.json)"

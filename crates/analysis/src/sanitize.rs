@@ -921,7 +921,6 @@ pub fn self_test() -> Vec<Diagnostic> {
         srcs: [None, None],
         next_pc: Addr::new(target),
         ctrl: Some(DynCtrl {
-            branch_id: None,
             taken: true,
             target: Addr::new(target),
             link: None,

@@ -54,7 +54,10 @@ fn branch_path(
     }
     let mut path = Vec::new();
     for d in w.executor(&layout, InputId::TEST, insts) {
-        let Some(id) = d.ctrl.as_ref().and_then(|c| c.branch_id) else {
+        let laid = layout
+            .inst_at(d.addr)
+            .expect("trace address maps to layout");
+        let Some(id) = laid.ctrl.and_then(|c| c.branch_id) else {
             continue;
         };
         let semantic = d.ctrl.as_ref().expect("ctrl").taken ^ inverted[id.0 as usize];

@@ -16,7 +16,7 @@ use fetchmech_analysis::sanitize::{
 };
 use fetchmech_analysis::{CycleSanitizer, Diagnostic, FetchEnv, SanitizeConfig, Severity};
 use fetchmech_bpred::BtbStats;
-use fetchmech_isa::{Addr, BranchId, DynCtrl, DynInst, OpClass};
+use fetchmech_isa::{Addr, DynCtrl, DynInst, OpClass};
 use fetchmech_pipeline::{FetchPacket, FetchedInst, SchemeKind};
 
 /// 4-wide machine, 16-byte (4-instruction) blocks, 2 banks.
@@ -48,7 +48,6 @@ fn jmp(addr: u64, target: u64) -> DynInst {
         srcs: [None, None],
         next_pc: Addr::new(target),
         ctrl: Some(DynCtrl {
-            branch_id: None,
             taken: true,
             target: Addr::new(target),
             link: None,
@@ -64,7 +63,6 @@ fn cond(addr: u64, taken: bool, target: u64) -> DynInst {
         srcs: [None, None],
         next_pc: Addr::new(if taken { target } else { addr + 4 }),
         ctrl: Some(DynCtrl {
-            branch_id: Some(BranchId(0)),
             taken,
             target: Addr::new(target),
             link: None,

@@ -41,7 +41,6 @@ fn branch(addr: u64, taken: bool, target: u64) -> DynInst {
         srcs: [None, None],
         next_pc: Addr::new(if taken { target } else { addr + 4 }),
         ctrl: Some(DynCtrl {
-            branch_id: None,
             taken,
             target: Addr::new(target),
             link: None,

@@ -47,11 +47,7 @@ impl Profile {
                     profile.block_count[laid.block.0 as usize] += 1;
                 }
                 if inst.op == OpClass::CondBranch {
-                    let id = inst
-                        .ctrl
-                        .expect("branch ctrl")
-                        .branch_id
-                        .expect("branch id");
+                    let id = laid.ctrl.and_then(|c| c.branch_id).expect("branch id");
                     profile.total[id.0 as usize] += 1;
                     if inst.ctrl.expect("branch ctrl").taken {
                         profile.taken[id.0 as usize] += 1;

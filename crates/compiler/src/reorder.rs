@@ -1,15 +1,15 @@
 //! Code reordering: trace layout with branch-sense inversion (§4's
 //! profile-driven optimization).
 //!
-//! Traces are selected on the profile, then placed by the superblock former
-//! at zero code growth: function by function, in flow order (each trace at
-//! its head's natural position), with each placed trace pulling in the trace
-//! that starts at its tail's most likely successor. Within a trace, blocks
-//! are sequential. Branch straightening then inverts every conditional
-//! branch whose *taken* edge leads to the next laid block, so the hot path
-//! falls through, which is what removes dynamic taken branches (Table 3) and
-//! lengthens the sequential runs every fetch mechanism feeds on
-//! (Figure 12).
+//! Traces are selected on the profile, then placed as the superblock former
+//! places them at zero code growth: function by function, in flow order
+//! (each trace at its head's natural position), with each placed trace
+//! pulling in the trace that starts at its tail's most likely successor.
+//! Within a trace, blocks are sequential. Branch straightening then inverts
+//! every conditional branch whose *taken* edge leads to the next laid block,
+//! so the hot path falls through, which is what removes dynamic taken
+//! branches (Table 3) and lengthens the sequential runs every fetch
+//! mechanism feeds on (Figure 12).
 
 use std::collections::HashSet;
 
@@ -17,8 +17,8 @@ use fetchmech_isa::{BlockId, Layout, LayoutError, LayoutOptions, PadMode, Progra
 
 use crate::passes::straighten;
 use crate::profile::Profile;
-use crate::superblock::form_superblocks;
-use crate::traceselect::{select_traces, TraceSelectConfig};
+use crate::superblock::place_traces;
+use crate::traceselect::{select_traces, Trace, TraceSelectConfig};
 
 /// The result of code reordering: the edited program, the block order, and
 /// the trace-end set (for the pad-trace optimization).
@@ -28,6 +28,8 @@ pub struct Reordered {
     pub program: Program,
     /// Block layout order (a permutation of all blocks).
     pub order: Vec<BlockId>,
+    /// The traces the order places, as selected on the profile.
+    pub traces: Vec<Trace>,
     /// Final block of each trace — the only padding points `pad-trace` uses.
     pub trace_ends: HashSet<BlockId>,
     /// Number of conditional branches whose sense was inverted.
@@ -67,11 +69,8 @@ impl Reordered {
 #[must_use]
 pub fn reorder(program: &Program, profile: &Profile, config: &TraceSelectConfig) -> Reordered {
     let traces = select_traces(program, profile, config);
-    // With no growth budget the former duplicates nothing: it returns the
-    // input program and only places and chains the traces.
-    let placed = form_superblocks(program, profile, &traces, 0.0);
-    debug_assert_eq!(placed.formed, 0, "zero growth duplicated a tail");
-    let (edited, inverted_branches) = straighten(&placed.program, &placed.order);
+    let order = place_traces(program, profile, &traces);
+    let (edited, inverted_branches) = straighten(program, &order);
     // Only traces the profile actually saw get padded ends: padding cold
     // singleton traces would inflate code size with nops that buy nothing.
     let trace_ends: HashSet<BlockId> = traces
@@ -81,7 +80,8 @@ pub fn reorder(program: &Program, profile: &Profile, config: &TraceSelectConfig)
         .collect();
     let reordered = Reordered {
         program: edited,
-        order: placed.order,
+        order,
+        traces,
         trace_ends,
         inverted_branches,
     };

@@ -87,18 +87,6 @@ pub fn superblock(
     growth_limit: f64,
 ) -> SuperblockResult {
     let traces = select_traces(program, profile, config);
-    form_superblocks(program, profile, &traces, growth_limit)
-}
-
-/// [`superblock`] over already selected `traces`. At a zero `growth_limit`
-/// nothing is duplicated: the result is the input program, identity maps,
-/// and the chained trace order, which is how `reorder` places its traces.
-pub(crate) fn form_superblocks(
-    program: &Program,
-    profile: &Profile,
-    traces: &[Trace],
-    growth_limit: f64,
-) -> SuperblockResult {
     let view = CfgView::local(program);
     let entries: HashSet<BlockId> = program.func_entries().iter().copied().collect();
 
@@ -203,7 +191,7 @@ pub(crate) fn form_superblocks(
     // between original and copy) but preserves branch directions, which is
     // all the chaining below needs.
     let new_profile = profile.project(&rel_block, &rel_branch);
-    let order = layout_order(&new_program, &new_profile, traces, &chains, &rel_block);
+    let order = layout_order(&new_program, &new_profile, &traces, &chains, &rel_block);
     let result = SuperblockResult {
         program: new_program,
         order,
@@ -214,6 +202,18 @@ pub(crate) fn form_superblocks(
     };
     debug_assert_eq!(result.order.len(), result.program.num_blocks());
     result
+}
+
+/// Places `traces` over the unchanged `program`: the [`layout_order`] of
+/// zero code growth, which is how `reorder` lays out its traces.
+pub(crate) fn place_traces(program: &Program, profile: &Profile, traces: &[Trace]) -> Vec<BlockId> {
+    layout_order(
+        program,
+        profile,
+        traces,
+        &vec![Vec::new(); traces.len()],
+        &[],
+    )
 }
 
 /// Function-major order with likely-successor chaining over layout units.
@@ -384,12 +384,13 @@ mod tests {
 
     #[test]
     fn zero_growth_only_places_code() {
-        // `reorder` places its traces through the former at zero growth, so
-        // the former must then leave every program, block and branch as is.
+        // At zero growth the former only places code: every program, block
+        // and branch stays as is, and the order is `reorder`'s placement.
         for w in suite::full_suite() {
             let name = &w.spec.name;
             let p = Profile::collect(&w, &InputId::PROFILE, 10_000);
-            let r = superblock(&w.program, &p, &TraceSelectConfig::default(), 0.0);
+            let config = TraceSelectConfig::default();
+            let r = superblock(&w.program, &p, &config, 0.0);
             assert_eq!(r.formed, 0, "{name}");
             assert!(r.duplicated.is_empty(), "{name}");
             let blocks: Vec<BlockId> = (0..w.program.num_blocks() as u32).map(BlockId).collect();
@@ -397,6 +398,8 @@ mod tests {
             assert_eq!(r.rel_block, blocks, "{name}");
             assert_eq!(r.rel_branch, branches, "{name}");
             assert_eq!(r.program, w.program, "{name}");
+            let traces = select_traces(&w.program, &p, &config);
+            assert_eq!(r.order, place_traces(&w.program, &p, &traces), "{name}");
         }
     }
 }

@@ -1045,7 +1045,6 @@ mod tests {
                 Addr::new(addr + 4)
             },
             ctrl: Some(DynCtrl {
-                branch_id: Some(fetchmech_isa::BranchId(0)),
                 taken,
                 target: Addr::new(target),
                 link: None,
@@ -1061,7 +1060,6 @@ mod tests {
             srcs: [None, None],
             next_pc: Addr::new(target),
             ctrl: Some(DynCtrl {
-                branch_id: None,
                 taken: true,
                 target: Addr::new(target),
                 link: None,
@@ -1503,7 +1501,6 @@ mod predictor_tests {
                 Addr::new(addr + 4)
             },
             ctrl: Some(DynCtrl {
-                branch_id: None,
                 taken,
                 target: Addr::new(target),
                 link: None,
@@ -1553,7 +1550,6 @@ mod predictor_tests {
             srcs: [None, None],
             next_pc: Addr::new(target),
             ctrl: Some(DynCtrl {
-                branch_id: None,
                 taken: true,
                 target: Addr::new(target),
                 link: Some(Addr::new(link)),
@@ -1569,7 +1565,6 @@ mod predictor_tests {
             srcs: [Some(fetchmech_isa::Reg::int(31)), None],
             next_pc: Addr::new(target),
             ctrl: Some(DynCtrl {
-                branch_id: None,
                 taken: true,
                 target: Addr::new(target),
                 link: None,

@@ -12,6 +12,10 @@ pub const WORD_BYTES: u64 = 4;
 /// for word-indexed construction and `Addr::new` accepts arbitrary byte
 /// addresses for cache arithmetic.
 ///
+/// The address space is 32 bits, like the paper's PA-RISC testbed, so an
+/// address is stored in a `u32`; the API speaks `u64` and every constructor
+/// panics on a byte address at or past 2³² rather than wrap.
+///
 /// # Examples
 ///
 /// ```
@@ -23,39 +27,59 @@ pub const WORD_BYTES: u64 = 4;
 /// assert_eq!(a.offset_words(16), 3); // within a 16-byte block
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Addr(u64);
+pub struct Addr(u32);
+
+const _: () = assert!(std::mem::size_of::<Addr>() == 4);
 
 impl Addr {
+    /// One past the largest byte address: the address space is 32 bits.
+    pub(crate) const LIMIT: u64 = 1 << 32;
+
     /// Creates an address from a raw byte value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `byte` does not fit in 32 bits.
     #[must_use]
+    #[inline]
     pub const fn new(byte: u64) -> Self {
-        Self(byte)
+        assert!(byte < Self::LIMIT, "byte address past the 32-bit space");
+        Self(byte as u32)
     }
 
     /// Creates a word-aligned address from an instruction-word index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the byte address does not fit in 32 bits.
     #[must_use]
     pub const fn from_word_index(index: u64) -> Self {
-        Self(index * WORD_BYTES)
+        Self::new(index * WORD_BYTES)
     }
 
     /// Returns the raw byte address.
     #[must_use]
+    #[inline]
     pub const fn byte(self) -> u64 {
-        self.0
+        self.0 as u64
     }
 
     /// Returns the instruction-word index (`byte / 4`).
     #[must_use]
     #[inline]
     pub const fn word_index(self) -> u64 {
-        self.0 / WORD_BYTES
+        self.byte() / WORD_BYTES
     }
 
     /// Returns the address advanced by `n` instruction words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the result does not fit in 32 bits.
     #[must_use]
     #[inline]
     pub const fn add_words(self, n: u64) -> Self {
-        Self(self.0 + n * WORD_BYTES)
+        Self::new(self.byte() + n * WORD_BYTES)
     }
 
     /// Returns the address of the cache block containing `self` for the
@@ -71,7 +95,7 @@ impl Addr {
             block_bytes.is_power_of_two(),
             "block size must be a power of two"
         );
-        Self(self.0 & !(block_bytes - 1))
+        Self::new(self.byte() & !(block_bytes - 1))
     }
 
     /// Returns the block index (`byte / block_bytes`).
@@ -86,7 +110,7 @@ impl Addr {
             block_bytes.is_power_of_two(),
             "block size must be a power of two"
         );
-        self.0 >> block_bytes.trailing_zeros()
+        self.byte() >> block_bytes.trailing_zeros()
     }
 
     /// Returns the word offset of this address within its cache block.
@@ -96,7 +120,7 @@ impl Addr {
     /// Panics if `block_bytes` is not a power of two.
     #[must_use]
     pub fn offset_words(self, block_bytes: u64) -> u64 {
-        (self.0 - self.block_base(block_bytes).0) / WORD_BYTES
+        (self.byte() - self.block_base(block_bytes).byte()) / WORD_BYTES
     }
 
     /// Returns `true` if `self` and `other` lie in the same cache block.
@@ -120,7 +144,7 @@ impl fmt::LowerHex for Addr {
 
 impl From<Addr> for u64 {
     fn from(a: Addr) -> Self {
-        a.0
+        a.byte()
     }
 }
 
@@ -130,9 +154,22 @@ mod tests {
 
     #[test]
     fn word_index_roundtrip() {
-        for i in [0u64, 1, 7, 1000, 1 << 30] {
+        for i in [0u64, 1, 7, 1000, u64::from(u32::MAX / 4)] {
             assert_eq!(Addr::from_word_index(i).word_index(), i);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "32-bit space")]
+    fn new_past_32_bits_panics() {
+        let _ = Addr::new(1 << 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "32-bit space")]
+    fn add_words_past_32_bits_panics() {
+        let last = Addr::from_word_index(u64::from(u32::MAX / 4));
+        let _ = last.add_words(1);
     }
 
     #[test]

@@ -160,6 +160,12 @@ impl LayoutStats {
 pub enum LayoutError {
     /// The order is not a permutation of the program's blocks.
     NotAPermutation,
+    /// The laid-out code would end at byte `end`, at or past 2³²: outside
+    /// the 32-bit address space an [`Addr`] holds.
+    AddressOverflow {
+        /// One past the last byte the code would occupy.
+        end: u64,
+    },
 }
 
 impl fmt::Display for LayoutError {
@@ -169,6 +175,12 @@ impl fmt::Display for LayoutError {
                 write!(
                     f,
                     "block order is not a permutation of the program's blocks"
+                )
+            }
+            LayoutError::AddressOverflow { end } => {
+                write!(
+                    f,
+                    "laid-out code would end at {end:#x}, past the 32-bit address space"
                 )
             }
         }
@@ -225,7 +237,8 @@ impl Layout {
     /// # Errors
     ///
     /// Returns [`LayoutError::NotAPermutation`] if `order` does not list each
-    /// block exactly once.
+    /// block exactly once, and [`LayoutError::AddressOverflow`] if the code
+    /// starting at `options.base` would not end below 2³².
     pub fn new(
         program: &Program,
         order: &[BlockId],
@@ -244,9 +257,10 @@ impl Layout {
             seen[idx] = true;
         }
 
-        // Pass 1: sizes and addresses.
+        // Pass 1: sizes and addresses. The cursor is a plain byte count, so
+        // code running past the address space is an error, not a panic.
         let mut block_addr = vec![Addr::default(); n];
-        let mut cursor = options.base;
+        let mut cursor = options.base.byte();
         let mut pad_nops = 0usize;
         let mut materialized_jumps = 0usize;
         let sizes: Vec<(usize, usize)> = order
@@ -260,16 +274,22 @@ impl Layout {
             })
             .collect();
         for (pos, &bid) in order.iter().enumerate() {
-            block_addr[bid.0 as usize] = cursor;
+            if cursor < Addr::LIMIT {
+                block_addr[bid.0 as usize] = Addr::new(cursor);
+            }
             let (len, jumps) = sizes[pos];
             materialized_jumps += jumps;
-            cursor = cursor.add_words(len as u64);
+            cursor += len as u64 * WORD_BYTES;
             if Self::pads_after(&options.pad, bid) {
                 let aligned = Self::align_up(cursor, options.block_bytes);
-                pad_nops += ((aligned.byte() - cursor.byte()) / WORD_BYTES) as usize;
+                pad_nops += ((aligned - cursor) / WORD_BYTES) as usize;
                 cursor = aligned;
             }
         }
+        if cursor >= Addr::LIMIT {
+            return Err(LayoutError::AddressOverflow { end: cursor });
+        }
+        let cursor = Addr::new(cursor);
 
         // Pass 2: emit instructions with resolved targets.
         let mut code =
@@ -295,7 +315,7 @@ impl Layout {
             emit_cursor =
                 Self::emit_terminator(block, next, &block_addr, entry_addr, emit_cursor, &mut code);
             if Self::pads_after(&options.pad, bid) {
-                let aligned = Self::align_up(emit_cursor, options.block_bytes);
+                let aligned = Addr::new(Self::align_up(emit_cursor.byte(), options.block_bytes));
                 while emit_cursor < aligned {
                     code.push(LaidInst {
                         addr: emit_cursor,
@@ -517,9 +537,9 @@ impl Layout {
         }
     }
 
-    fn align_up(addr: Addr, block_bytes: u64) -> Addr {
+    fn align_up(byte: u64, block_bytes: u64) -> u64 {
         let mask = block_bytes - 1;
-        Addr::new((addr.byte() + mask) & !mask)
+        (byte + mask) & !mask
     }
 
     /// Returns the laid-out instruction stream.
@@ -717,6 +737,37 @@ mod tests {
         assert_eq!(
             Layout::new(&p, &short, LayoutOptions::new(16)).unwrap_err(),
             LayoutError::NotAPermutation
+        );
+    }
+
+    #[test]
+    fn code_past_the_address_space_is_rejected() {
+        let p = diamondish();
+        let words = Layout::natural(&p, LayoutOptions::new(16))
+            .expect("layout")
+            .code()
+            .len() as u64;
+        let at = |base: u64| LayoutOptions {
+            base: Addr::new(base),
+            ..LayoutOptions::new(16)
+        };
+        // The highest base whose code still ends below 2^32 lays out.
+        let top = Addr::LIMIT - (words + 1) * WORD_BYTES;
+        let l = Layout::natural(&p, at(top)).expect("fits");
+        assert_eq!(
+            l.code().last().expect("code").addr.byte(),
+            Addr::LIMIT - 2 * WORD_BYTES
+        );
+        // One word higher and the end no longer fits.
+        assert_eq!(
+            Layout::natural(&p, at(top + WORD_BYTES)).unwrap_err(),
+            LayoutError::AddressOverflow { end: Addr::LIMIT }
+        );
+        assert_eq!(
+            Layout::natural(&p, at(Addr::LIMIT - 16)).unwrap_err(),
+            LayoutError::AddressOverflow {
+                end: Addr::LIMIT - 16 + words * WORD_BYTES
+            }
         );
     }
 

@@ -1,6 +1,6 @@
 //! Run-length fetch-block streams — the compact dynamic-trace representation.
 //!
-//! A flat `Vec<DynInst>` spends ~56 bytes per dynamic instruction even though
+//! A flat `Vec<DynInst>` spends 32 bytes per dynamic instruction even though
 //! the fetch schemes of the paper only consume *fetch-block geometry*: run
 //! lengths between control transfers, branch kind and direction, target
 //! displacement, and the op-class mix the out-of-order core needs. A
@@ -31,7 +31,6 @@
 //!     srcs: [None, None],
 //!     next_pc: Addr::new(0x100),
 //!     ctrl: Some(DynCtrl {
-//!         branch_id: None,
 //!         taken: true,
 //!         target: Addr::new(0x100),
 //!         link: None,
@@ -433,7 +432,6 @@ impl BlockStreamBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cfg::BranchId;
     use crate::trace::DynCtrl;
 
     fn alu(addr: u64) -> DynInst {
@@ -452,7 +450,6 @@ mod tests {
             srcs: [None, None],
             next_pc: Addr::new(if taken { target } else { addr + 4 }),
             ctrl: Some(DynCtrl {
-                branch_id: Some(BranchId(7)),
                 taken,
                 target: Addr::new(target),
                 link: None,

@@ -2,16 +2,16 @@
 //! workload executor and the fetch/pipeline simulators.
 
 use crate::addr::Addr;
-use crate::cfg::BranchId;
 use crate::op::OpClass;
 use crate::reg::Reg;
 
 /// Control-flow outcome attached to a dynamic control instruction.
+///
+/// A conditional branch's stable id is static: it is the laid-out
+/// instruction's (`Layout::inst_at(addr)`), so the dynamic record does not
+/// repeat it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DynCtrl {
-    /// Stable branch id for conditional branches; `None` for jumps, calls,
-    /// returns, and halts.
-    pub branch_id: Option<BranchId>,
     /// Whether the hardware transfer was taken this execution. Always `true`
     /// for unconditional transfers.
     pub taken: bool,
@@ -50,6 +50,10 @@ pub struct DynInst {
     /// Control outcome; `Some` exactly for control transfers and halts.
     pub ctrl: Option<DynCtrl>,
 }
+
+// Traces and stream templates hold one of these per instruction; growing
+// the record grows every memoized trace with it.
+const _: () = assert!(std::mem::size_of::<DynInst>() == 32);
 
 impl DynInst {
     /// Creates a non-control dynamic instruction falling through to the next
@@ -173,7 +177,6 @@ mod tests {
             srcs: [None, None],
             next_pc: Addr::new(target),
             ctrl: Some(DynCtrl {
-                branch_id: Some(BranchId(0)),
                 taken: true,
                 target: Addr::new(target),
                 link: None,
@@ -227,7 +230,6 @@ mod tests {
     fn not_taken_branch_is_not_intra_block() {
         let mut b = taken_branch(0x100, 0x108);
         b.ctrl = Some(DynCtrl {
-            branch_id: Some(BranchId(0)),
             taken: false,
             target: Addr::new(0x108),
             link: None,

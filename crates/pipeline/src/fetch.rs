@@ -401,7 +401,6 @@ mod tests {
             srcs: [None, None],
             next_pc: Addr::new(if taken { target } else { addr + 4 }),
             ctrl: Some(fetchmech_isa::DynCtrl {
-                branch_id: None,
                 taken,
                 target: Addr::new(target),
                 link: None,

@@ -850,7 +850,6 @@ mod tests {
                 srcs: [None, None],
                 next_pc: Addr::new(0x1004),
                 ctrl: Some(DynCtrl {
-                    branch_id: None,
                     taken: false,
                     target: Addr::new(0x2000),
                     link: None,
@@ -1088,7 +1087,6 @@ mod tests {
                 .then(|| reg(r >> (shift + 1)))
         };
         let ctrl = op.is_control().then_some(DynCtrl {
-            branch_id: None,
             taken: (r >> 40).is_multiple_of(2),
             target: Addr::new(0x2000),
             link: None,

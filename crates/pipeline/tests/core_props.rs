@@ -52,7 +52,6 @@ fn materialize(g: Gen, addr_word: u64) -> FetchedInst {
             srcs: [src, None],
             next_pc: addr.add_words(1),
             ctrl: Some(DynCtrl {
-                branch_id: None,
                 taken: false,
                 target: addr.add_words(16),
                 link: None,

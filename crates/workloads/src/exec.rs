@@ -127,7 +127,6 @@ impl Iterator for Executor<'_> {
                     srcs: inst.srcs,
                     next_pc,
                     ctrl: Some(DynCtrl {
-                        branch_id: Some(id),
                         taken: hw_taken,
                         target,
                         link: None,
@@ -147,7 +146,6 @@ impl Iterator for Executor<'_> {
                     srcs: inst.srcs,
                     next_pc: target,
                     ctrl: Some(DynCtrl {
-                        branch_id: None,
                         taken: true,
                         target,
                         link: None,
@@ -173,7 +171,6 @@ impl Iterator for Executor<'_> {
                     srcs: inst.srcs,
                     next_pc: target,
                     ctrl: Some(DynCtrl {
-                        branch_id: None,
                         taken: true,
                         target,
                         link: Some(link),
@@ -196,7 +193,6 @@ impl Iterator for Executor<'_> {
                     srcs: inst.srcs,
                     next_pc: target,
                     ctrl: Some(DynCtrl {
-                        branch_id: None,
                         taken: true,
                         target,
                         link: None,
@@ -215,7 +211,6 @@ impl Iterator for Executor<'_> {
                     srcs: inst.srcs,
                     next_pc: target,
                     ctrl: Some(DynCtrl {
-                        branch_id: None,
                         taken: true,
                         target,
                         link: None,

@@ -86,7 +86,6 @@ fn materialize_segment(
                     srcs: inst.srcs,
                     next_pc: if taken { target } else { addr.add_words(1) },
                     ctrl: Some(DynCtrl {
-                        branch_id: Some(ctrl.branch_id.expect("cond branch has id")),
                         taken,
                         target,
                         link: None,
@@ -116,7 +115,6 @@ fn materialize_segment(
                     srcs: inst.srcs,
                     next_pc: target,
                     ctrl: Some(DynCtrl {
-                        branch_id: None,
                         taken: true,
                         target,
                         link,

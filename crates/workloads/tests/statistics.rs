@@ -53,7 +53,8 @@ fn profile_inputs_predict_the_test_input() {
             let mut total = vec![0u64; w.program.num_branches() as usize];
             for i in w.executor(&layout, input, 60_000) {
                 if i.op == OpClass::CondBranch {
-                    let id = i.ctrl.expect("ctrl").branch_id.expect("id").0 as usize;
+                    let laid = layout.inst_at(i.addr).expect("laid");
+                    let id = laid.ctrl.expect("ctrl").branch_id.expect("id").0 as usize;
                     total[id] += 1;
                     taken[id] += u64::from(i.ctrl.expect("ctrl").taken);
                 }

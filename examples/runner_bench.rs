@@ -206,6 +206,7 @@ fn main() {
         ("stream_insts", Value::Uint(s_insts)),
         ("stream_records", Value::Uint(s_records)),
         ("stream_templates", Value::Uint(s_templates)),
+        ("stream_bytes", Value::Uint(s_stream_bytes)),
         ("stream_mean_run_len", secs(mean_run_len)),
         ("stream_compression", secs(compression)),
         ("total_cycles", Value::Uint(total_cycles)),

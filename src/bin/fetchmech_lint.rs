@@ -369,7 +369,6 @@ fn lint_benchmark(
     let w = lab.bench(name);
     let profile = lab.profile(name);
     let config = TraceSelectConfig::default();
-    let traces = select_traces(&w.program, &profile, &config);
     let reordered = lab.reordered(name);
     // Each variant's layout with the program it lays out, and the block
     // stream the simulator runs on it.
@@ -391,7 +390,7 @@ fn lint_benchmark(
         },
         Target::Traces {
             program: &w.program,
-            traces: &traces,
+            traces: &reordered.traces,
         },
         Target::Transform {
             original: &w.program,
