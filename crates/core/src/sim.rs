@@ -11,9 +11,11 @@
 //! [`Lab`](crate::experiments::Lab) stream cache, or a per-instruction
 //! trace (`Vec<DynInst>`, `&Arc<[DynInst]>`), which is run-length encoded
 //! through [`BlockStream::from_insts`](fetchmech_isa::BlockStream::from_insts)
-//! first — and run it on [`BlockFetchUnit`] + [`StreamCore`], which walk
-//! run-length fetch-block segments, dispatch without materializing packets,
-//! and skip provably-idle stretches of cycles in O(1).
+//! first — and run it on [`BlockFetchUnit`] + [`StreamCore`]. The fetch
+//! unit walks run-length fetch-block segments and dispatch reads them
+//! without materializing packets. The core schedules each instruction once,
+//! when it dispatches, so the loop knows when a mispredicted transfer
+//! resolves and jumps every stretch of cycles in which fetch is idle.
 //!
 //! The per-instruction simulator — [`AlignedFetchUnit`] + [`OooCore`], one
 //! trace element per instruction — is the reference the fast loop is
@@ -333,22 +335,22 @@ pub(crate) fn simulate_observed(
     }
 }
 
-/// The block-stream simulation loop. Mirrors [`simulate_observed`] phase by
-/// phase — complete/retire, fire, dispatch, fetch — with two differences
-/// that cannot change the result:
+/// The block-stream simulation loop. Produces what [`simulate_observed`]
+/// produces, with three differences that cannot change the result:
 ///
 /// * packets stay in run-length form ([`BlockPacket`]) and dispatch reads
 ///   instructions straight out of the shared stream's templates;
-/// * stretches of cycles in which *nothing can happen* are skipped in O(1),
-///   with the per-cycle statistics the oracle would have recorded on those
-///   cycles (window-full counts, redirect stalls) patched in exactly.
+/// * the core ([`StreamCore`]) schedules each instruction when it
+///   dispatches, so it has no per-cycle complete, retire or fire phase, and
+///   the completion cycle of a mispredicted transfer is known at dispatch;
+/// * cycles in which fetch is idle are jumped, with the per-cycle statistics
+///   the reference records on them (redirect stalls) patched in exactly.
 ///
-/// A cycle is skippable only when the core neither starved a ready
-/// instruction this cycle nor holds a retirable ROB head (either would make
-/// the next cycle do real work), and then only up to the next completion
-/// time — the next moment the core's state can change. Speculation-blocked
-/// cycles are never skipped: each one performs real I-cache accesses in the
-/// fetch unit, and those must be simulated faithfully.
+/// Fetch is idle while it waits for the watched mispredict (the loop jumps
+/// to its completion), while it stalls on a miss or a redirect (the loop
+/// jumps to the stall's end), and once the stream is exhausted (the run ends
+/// when the youngest instruction retires). Speculation-blocked cycles are
+/// never jumped: each one performs real I-cache accesses in the fetch unit.
 fn simulate_blocks_fast(
     machine: &MachineModel,
     scheme: SchemeKind,
@@ -366,52 +368,42 @@ fn simulate_blocks_fast(
     let mut run_idx = 0usize;
     let mut run_off = 0u32;
     let mut pkt_left = 0u32;
-    // Sequence number of the in-flight mispredicted control transfer whose
+    // Completion cycle of the in-flight mispredicted control transfer whose
     // resolution fetch is waiting on.
     let mut watched: Option<u64> = None;
     // A delivered-but-not-yet-dispatched mispredicted instruction.
     let mut queued_mispredict = false;
     let mut nops_fetched = 0u64;
-    // Outcome of the most recent fetch call; consulted by the idle-cycle
-    // skip only when the packet is empty, in which case it is always fresh
-    // (an empty packet and a pending queued mispredict cannot coexist — the
-    // flag clears when the packet's final instruction dispatches).
-    let mut idle = FetchOutcome::Delivered;
 
     let mut cycle: u64 = 0;
     loop {
-        // 1. Complete + retire; notify fetch of the watched resolution.
-        if core.begin_cycle(cycle, watched) {
+        core.advance_to(cycle);
+
+        // 1. The watched transfer resolves; fetch may redirect.
+        if watched == Some(cycle) {
             fetch.on_mispredict_resolved(cycle);
             watched = None;
         }
 
-        // 2. Fire ready instructions.
-        let starved = core.fire(cycle);
-
-        // 3. Dispatch from the current packet. Nops are dropped here, as in
-        // the oracle: they consume dispatch bandwidth but never occupy a
+        // 2. Dispatch from the current packet. Nops are dropped here, as in
+        // the reference: they consume dispatch bandwidth but never occupy a
         // window or ROB slot.
-        let mut dispatched = 0u32;
-        let had_backlog = pkt_left > 0;
         if pkt_left > 0 {
+            let mut dispatched = 0u32;
             // Resolve the current run to a template slice once per run, not
             // once per instruction.
             let (tid, base, len) = pkt.runs[run_idx];
             let mut insts = &stream.template(tid).insts()[base as usize..(base + len) as usize];
             while dispatched < issue_rate && pkt_left > 0 {
                 let inst = &insts[run_off as usize];
-                if inst.op == OpClass::Nop {
-                    // Squashed at dispatch; no core interaction.
-                } else {
+                if inst.op != OpClass::Nop {
                     if !core.can_accept() {
                         break;
                     }
-                    let mispredicted = pkt.mispredicted && pkt_left == 1;
-                    let seq = core.dispatch(inst.op, inst.dest, inst.srcs, mispredicted);
-                    if mispredicted {
+                    let done = core.dispatch(inst.op, inst.dest, inst.srcs);
+                    if pkt.mispredicted && pkt_left == 1 {
                         queued_mispredict = false;
-                        watched = Some(seq);
+                        watched = Some(done);
                     }
                 }
                 run_off += 1;
@@ -427,11 +419,9 @@ fn simulate_blocks_fast(
                 }
             }
         }
-        if pkt_left > 0 && dispatched == 0 {
-            core.note_window_full(1);
-        }
 
-        // 4. Fetch the next packet once the current one has fully dispatched.
+        // 3. Fetch the next packet once the current one has fully dispatched.
+        let mut idle = FetchOutcome::Delivered;
         if pkt_left == 0 && !queued_mispredict {
             // The packet queue is empty, so its conditional-branch count
             // contributes nothing: unresolved = in-flight conds only.
@@ -446,7 +436,10 @@ fn simulate_blocks_fast(
         }
 
         cycle += 1;
-        if fetch.done() && pkt_left == 0 && core.drained() {
+        if fetch.done() && pkt_left == 0 && watched.is_none() {
+            // Only the core is left: fetch records nothing more, and the
+            // run ends in the cycle the youngest instruction retires.
+            cycle = cycle.max(core.last_retire() + 1);
             break;
         }
         assert!(
@@ -456,72 +449,38 @@ fn simulate_blocks_fast(
             fetch.delivered()
         );
 
-        // 5. Idle-cycle skip. Guards: a starved ready instruction fires next
-        // cycle, a retirable ROB head retires next cycle, and instructions
-        // dispatched *this* cycle fire next cycle — any of these makes the
-        // next cycle do real work, so no skip. (Every other in-window entry
-        // was offered to `fire` this cycle and found not ready; it cannot
-        // become ready before the next completion.)
-        if starved || core.front_retirable() || dispatched > 0 {
-            continue;
-        }
-        if pkt_left > 0 {
-            // Dispatch was attempted on a leftover packet and fully blocked
-            // (the head is a non-nop and the window/ROB is full; a freshly
-            // fetched packet has not been offered to dispatch yet). Until
-            // the next completion, every cycle repeats verbatim: nothing
-            // completes or retires, nothing fires, dispatch stays blocked,
-            // fetch is not consulted, and the oracle records one
-            // window-full cycle each time.
-            if had_backlog && dispatched == 0 {
-                if let Some(t) = core.next_completion() {
-                    if t > cycle {
-                        core.note_window_full(t - cycle);
-                        cycle = t;
-                    }
-                }
+        // 4. Jump the fetch-idle stretch.
+        match idle {
+            FetchOutcome::AwaitResolve => {
+                // Nothing happens until the watched transfer resolves, and
+                // the reference records one redirect stall per cycle.
+                let t = watched.expect("fetch awaits a dispatched mispredict");
+                debug_assert!(t > cycle, "a transfer resolves after its dispatch cycle");
+                fetch.add_redirect_stalls(t - cycle);
+                cycle = t;
             }
-        } else {
-            match idle {
-                FetchOutcome::AwaitResolve => {
-                    // Waiting on the watched branch. Until the next
-                    // completion nothing can resolve, and the oracle
-                    // records one redirect-stall cycle each time.
-                    if let Some(t) = core.next_completion() {
-                        if t > cycle {
-                            fetch.add_redirect_stalls(t - cycle);
-                            cycle = t;
-                        }
-                    }
-                }
-                FetchOutcome::Stalled { until } => {
-                    // Miss or post-redirect penalty: fetch returns nothing
-                    // (and records nothing) before `until`, so jump to the
-                    // earlier of the stall end and the next completion.
-                    let t = core.next_completion().map_or(until, |c| c.min(until));
-                    if t > cycle {
-                        cycle = t;
-                    }
-                }
-                FetchOutcome::Done => {
-                    // Stream exhausted; only the core is draining.
-                    if let Some(t) = core.next_completion() {
-                        if t > cycle {
-                            cycle = t;
-                        }
-                    }
-                }
-                // Delivered: the fresh packet dispatches next cycle.
-                // SpecBlocked: each blocked cycle performs real I-cache
-                // accesses (and possible bank conflicts) in the fetch unit —
-                // never skipped.
-                FetchOutcome::Delivered | FetchOutcome::SpecBlocked => {}
+            FetchOutcome::Stalled { until } => {
+                // Miss or post-redirect penalty: fetch returns nothing (and
+                // records nothing) before `until`, and no resolution is
+                // pending.
+                debug_assert!(watched.is_none());
+                cycle = cycle.max(until);
             }
+            // Delivered (or not consulted): dispatch goes on next cycle.
+            // SpecBlocked: each blocked cycle performs real I-cache
+            // accesses (and possible bank conflicts) in the fetch unit.
+            // Done: the run ended above.
+            FetchOutcome::Delivered | FetchOutcome::SpecBlocked | FetchOutcome::Done => {}
         }
     }
 
+    core.advance_to(cycle - 1);
+    debug_assert!(
+        core.drained(),
+        "the run ends once every instruction retired"
+    );
     // Nops never dispatch, so everything the core retired is useful work.
-    let retired = core.stats().retired;
+    let retired = core.retired();
     SimResult {
         scheme,
         machine: machine.name.clone(),

@@ -180,12 +180,6 @@ impl OooCore {
             self.cfg.units(FuClass::Branch),
             self.cfg.units(FuClass::Mem),
         ];
-        let class_idx = |c: FuClass| match c {
-            FuClass::Fxu => 0,
-            FuClass::Fpu => 1,
-            FuClass::Branch => 2,
-            FuClass::Mem => 3,
-        };
         // Readiness depends only on pre-cycle completion state, so gather
         // fire decisions against a snapshot of the dependence predicate.
         let min_seq = self.min_inflight_seq();
@@ -198,7 +192,7 @@ impl OooCore {
         let mut fired = Vec::new();
         for (i, e) in self.rob.iter().enumerate() {
             if e.state == State::InWindow && ready(&e.deps) {
-                let ci = class_idx(e.op.fu_class());
+                let ci = class_index(e.op.fu_class());
                 if avail[ci] > 0 {
                     avail[ci] -= 1;
                     fired.push(i);
@@ -360,13 +354,8 @@ impl OooCore {
     }
 }
 
-/// Sequence-number sentinel for "no dependence" in [`StreamCore`].
-const SEQ_NONE: u64 = u64::MAX;
-
-/// End-of-list sentinel for [`StreamCore`]'s waiter links.
-const LINK_NONE: u32 = u32::MAX;
-
-/// Dense index of a functional-unit class: the row of its ready bitset.
+/// Dense index of a functional-unit class: its place in per-class unit
+/// counts.
 fn class_index(class: FuClass) -> usize {
     match class {
         FuClass::Fxu => 0,
@@ -376,417 +365,181 @@ fn class_index(class: FuClass) -> usize {
     }
 }
 
-/// Sets or clears the bits of `mask` in `word`.
-#[inline]
-fn assign_bits(word: &mut u64, mask: u64, on: bool) {
-    *word = (*word & !mask) | (mask * u64::from(on));
+/// One cycle of [`StreamCore`]'s schedule: instructions of each unit class
+/// that fire in it, and conditional branches that complete in it.
+#[derive(Debug, Clone, Copy, Default)]
+struct CycleSlot {
+    fired: [u8; 4],
+    cond_done: u8,
 }
 
-/// One ROB ring slot of [`StreamCore`]. Its timing facts (unit class,
-/// latency, conditional branch) are decoded once at dispatch; the latency
-/// and the conditional flag live in the core's slot bitsets.
-#[derive(Debug, Clone, Copy)]
-struct SEntry {
-    /// [`class_index`] of the op's functional unit.
-    class: u8,
-    mispredicted: bool,
-    /// Producers this entry still waits on (0–2); it is ready once this
-    /// reaches 0.
-    waiting: u8,
-    /// Head of the list of consumer links waiting on this entry to complete
-    /// (`LINK_NONE` = none). A link is `slot << 1 | source`, so an entry
-    /// waiting on two producers sits on two lists at once.
-    waiter_head: u32,
-    /// Next link after this entry's own link, per source.
-    next_waiter: [u32; 2],
-}
-
-impl SEntry {
-    /// Filler for unoccupied ring slots.
-    const IDLE: Self = Self {
-        class: 0,
-        mispredicted: false,
-        waiting: 0,
-        waiter_head: LINK_NONE,
-        next_waiter: [LINK_NONE; 2],
-    };
-}
-
-/// The allocation-light out-of-order core of the block-stream fast path.
+/// The out-of-order core of the block-stream fast path. It schedules each
+/// instruction once, when it dispatches.
 ///
-/// Cycle-for-cycle timing-identical to [`OooCore`] (the differential-oracle
-/// grid test in the core crate enforces whole-`SimResult` equality), but
-/// engineered for the hot loop:
+/// Timing-identical to [`OooCore`], cycle for cycle (the lockstep test below
+/// and the differential-oracle tests in the core crate enforce it). With
+/// fully pipelined units and oldest-first selection, no younger instruction
+/// can change an older one's timing, so the schedule follows from age order
+/// alone (list scheduling):
 ///
-/// * the ROB is a power-of-two ring indexed by `seq & mask` — no deque
-///   arithmetic and no per-entry allocation or destruction. Each op is
-///   decoded once at dispatch; per-slot facts the cycle phases need
-///   (completed, 2-cycle latency, conditional branch, has waiters) are
-///   bitsets over ring slots, so they are read a word at a time;
-/// * wakeup is counted: an entry records how many producers it still waits
-///   on and hangs one link per outstanding source on that producer's waiter
-///   list. A completion decrements each waiter's count once, and the count
-///   reaching zero makes it ready — each dependence edge costs O(1) in total;
-/// * ready entries are one bitset per functional-unit class.
-///   [`fire`](Self::fire) takes a whole class when its units suffice, and
-///   otherwise its oldest `units` bits counting from the ROB head. Unit
-///   classes never compete, so this fires the same set as an oldest-first
-///   walk over every ready entry. It reports whether a ready entry was
-///   *starved* of a unit, which is what lets the simulator loop skip
-///   provably-idle cycles;
-/// * completions are event-driven: fired slots are OR-ed into a ring of
-///   four `done_at` bitsets (maximum latency is 2 cycles) instead of an
-///   every-cycle ROB scan;
-/// * [`next_completion`](Self::next_completion) and
-///   [`front_retirable`](Self::front_retirable) expose the information the
-///   skip logic needs to stay exact (retirement of a completed backlog
-///   proceeds on cycles with no completions, so skips must not jump it).
+/// * an instruction dispatched at cycle `d` fires at the first cycle
+///   `t ≥ max(d + 1, completion of its sources)` in which fewer than
+///   `units` older instructions of its class fire, and completes at
+///   `t + latency`;
+/// * it retires at the later of its completion and the previous
+///   instruction's retire cycle, one cycle later when that cycle already
+///   retires `issue_rate` instructions.
+///
+/// What the simulator loop asks between dispatches (window and ROB room,
+/// in-flight conditional branches, drain) follows from a ring of per-cycle
+/// counts and a FIFO of retire cycles. [`advance_to`](Self::advance_to)
+/// folds the ring lazily, so the loop may jump over cycles in which fetch
+/// has nothing to do.
+///
+/// **Ring bound.** At the end of any cycle `c`, the oldest instruction that
+/// has not fired has every producer fired (producers are older), so its
+/// sources complete by `c + 2` (the longest latency is 2), and no older
+/// instruction competes for a unit after `c`: it fires by `c + 2`. Dispatch
+/// needs a free window slot, so an instruction dispatched at `d` has at most
+/// `window − 1` older instructions not yet fired at the end of `d`. The
+/// `k`-th oldest of them fires by `d + 2k`, so the instruction fires by
+/// `d + 2·window` and completes by `d + 2·window + 2`. The ring holds more
+/// than `2·window + 2` cycles, and [`dispatch`](Self::dispatch) asserts
+/// that no schedule reaches past it.
 #[derive(Debug)]
 pub struct StreamCore {
     cfg: OooConfig,
     /// Functional units per class, by [`class_index`].
-    units: [u32; 4],
-    /// Oldest in-flight sequence number; live slots are
-    /// `front_seq..next_seq`.
-    front_seq: u64,
-    next_seq: u64,
-    /// Ring of in-flight entries, indexed by `seq & rob_mask`; at least 64
-    /// slots, so every bitset word lies wholly inside the ring.
-    rob: Box<[SEntry]>,
-    rob_mask: u64,
-    /// `u64` words per slot bitset.
-    words: usize,
-    /// `InWindow` entries whose producers have all completed: one bitset
-    /// per class, row `class`. Entries still waiting on a producer are on
-    /// its waiter list instead.
-    ready: Box<[u64]>,
-    /// Set bits in each class's ready bitset.
-    ready_count: [u32; 4],
-    /// Slots that completed execution.
-    done: Box<[u64]>,
-    /// Slots whose op has a 2-cycle latency (the rest take 1).
-    slow: Box<[u64]>,
-    /// Slots holding a conditional branch.
-    cond: Box<[u64]>,
-    /// Slots with a non-empty waiter list.
-    waited: Box<[u64]>,
-    /// Slots fired this cycle (scratch for [`fire`](Self::fire)).
-    fired: Box<[u64]>,
-    /// Completion events: row `done_at & 3` holds the slots completing at
-    /// `bucket_at[row]`, and `bucket_live[row]` says the row is non-empty.
-    /// Pending `done_at`s always lie within 2 cycles, so a ring of 4 is
-    /// unambiguous.
-    completing: Box<[u64]>,
-    bucket_at: [u64; 4],
-    bucket_live: [bool; 4],
-    /// Count of `InWindow` entries (ready or waiting).
+    units: [u8; 4],
+    /// The current cycle: the ring is folded through it.
+    now: u64,
+    /// Slot `c & ring_mask` holds cycle `c`, for `now < c ≤ now + ring_mask`.
+    ring: Box<[CycleSlot]>,
+    ring_mask: u64,
+    /// Completion cycle of each register's last writer (0: none).
+    reg_done: [u64; 64],
+    /// Retire cycles of the instructions in the ROB, oldest first.
+    retire_at: VecDeque<u64>,
+    /// Retire cycle of the youngest instruction, and how many retire then.
+    last_retire: u64,
+    last_retire_count: u32,
+    /// Dispatched instructions that have not fired by `now`.
     in_window: u32,
-    last_writer: [u64; 64],
+    /// Dispatched conditional branches that have not completed by `now`.
     unresolved_cond: u32,
-    stats: OooStats,
+    dispatched: u64,
 }
 
 impl StreamCore {
-    /// Creates an empty core.
+    /// Creates an empty core at cycle 0.
     ///
     /// # Panics
     ///
-    /// Panics if any sizing field is zero.
+    /// Panics if any sizing field is zero or a class has more than 255
+    /// units.
     #[must_use]
     pub fn new(cfg: OooConfig) -> Self {
         assert!(
             cfg.issue_rate > 0 && cfg.window > 0 && cfg.rob > 0,
             "zero-sized core"
         );
+        let units = [cfg.fxu, cfg.fpu, cfg.branch_units, cfg.mem_units]
+            .map(|n| u8::try_from(n).expect("at most 255 units per class"));
         assert!(
-            cfg.fxu > 0 && cfg.fpu > 0 && cfg.branch_units > 0 && cfg.mem_units > 0,
+            units.iter().all(|&n| n > 0),
             "every unit class needs at least one unit"
         );
-        let slots = (cfg.rob as usize).next_power_of_two().max(64);
-        let words = slots / 64;
-        let bitset = |rows: usize| vec![0; rows * words].into_boxed_slice();
+        let slots = (2 * cfg.window as usize + 3).next_power_of_two();
         Self {
             cfg,
-            units: [cfg.fxu, cfg.fpu, cfg.branch_units, cfg.mem_units],
-            front_seq: 0,
-            next_seq: 0,
-            rob: vec![SEntry::IDLE; slots].into_boxed_slice(),
-            rob_mask: slots as u64 - 1,
-            words,
-            ready: bitset(4),
-            ready_count: [0; 4],
-            done: bitset(1),
-            slow: bitset(1),
-            cond: bitset(1),
-            waited: bitset(1),
-            fired: bitset(1),
-            completing: bitset(4),
-            bucket_at: [0; 4],
-            bucket_live: [false; 4],
+            units,
+            now: 0,
+            ring: vec![CycleSlot::default(); slots].into_boxed_slice(),
+            ring_mask: slots as u64 - 1,
+            reg_done: [0; 64],
+            retire_at: VecDeque::with_capacity(cfg.rob as usize),
+            last_retire: 0,
+            last_retire_count: 0,
             in_window: 0,
-            last_writer: [SEQ_NONE; 64],
             unresolved_cond: 0,
-            stats: OooStats::default(),
+            dispatched: 0,
         }
     }
 
-    /// Ring slot of sequence number `seq`.
+    /// Moves the core to `cycle`: everything scheduled to fire, complete or
+    /// retire by the end of `cycle` has done so.
     #[inline]
-    fn slot(&self, seq: u64) -> usize {
-        (seq & self.rob_mask) as usize
-    }
-
-    /// Whether `slot`'s bit is set in the one-row bitset `bits`.
-    #[inline]
-    fn bit(bits: &[u64], slot: usize) -> bool {
-        (bits[slot / 64] >> (slot % 64)) & 1 == 1
-    }
-
-    /// Marks ring slot `slot` ready in its class's bitset.
-    #[inline]
-    fn set_ready(&mut self, slot: usize) {
-        let class = usize::from(self.rob[slot].class);
-        self.ready_count[class] += 1;
-        self.ready[class * self.words + slot / 64] |= 1 << (slot % 64);
-    }
-
-    /// Completes instructions finishing at `cycle`, then retires up to
-    /// `issue_rate` completed instructions in order. Returns `true` if the
-    /// `watched` sequence number (the pending mispredicted control transfer)
-    /// resolved this cycle.
-    pub fn begin_cycle(&mut self, cycle: u64, watched: Option<u64>) -> bool {
-        let mut watched_resolved = false;
-        let b = (cycle & 3) as usize;
-        if self.bucket_live[b] {
-            debug_assert_eq!(
-                self.bucket_at[b], cycle,
-                "completion event missed its cycle"
-            );
-            self.bucket_live[b] = false;
-            // The watched entry is in flight, so its ring slot names it.
-            let watched = watched.map(|seq| self.slot(seq));
-            for w in 0..self.words {
-                let completed = std::mem::take(&mut self.completing[b * self.words + w]);
-                if completed == 0 {
-                    continue;
-                }
-                debug_assert_eq!(completed & self.done[w], 0, "completed twice");
-                self.done[w] |= completed;
-                self.unresolved_cond -= (completed & self.cond[w]).count_ones();
-                if let Some(ws) = watched {
-                    if ws / 64 == w && (completed >> (ws % 64)) & 1 == 1 {
-                        debug_assert!(self.rob[ws].mispredicted);
-                        watched_resolved = true;
-                    }
-                }
-                // Each link is one (consumer, source) edge on a completed
-                // producer: count it off, and the consumer is ready when
-                // none is left.
-                let mut producers = completed & self.waited[w];
-                self.waited[w] &= !completed;
-                while producers != 0 {
-                    let slot = w * 64 + producers.trailing_zeros() as usize;
-                    producers &= producers - 1;
-                    let mut link = std::mem::replace(&mut self.rob[slot].waiter_head, LINK_NONE);
-                    while link != LINK_NONE {
-                        let consumer = (link >> 1) as usize;
-                        let e = &mut self.rob[consumer];
-                        link = e.next_waiter[(link & 1) as usize];
-                        e.waiting -= 1;
-                        if e.waiting == 0 {
-                            self.set_ready(consumer);
-                        }
-                    }
-                }
-            }
+    pub fn advance_to(&mut self, cycle: u64) {
+        debug_assert!(cycle >= self.now, "the core cannot go back in time");
+        // Nothing is scheduled past one ring of cycles ahead.
+        for c in self.now + 1..=cycle.min(self.now + self.ring_mask) {
+            let slot = std::mem::take(&mut self.ring[(c & self.ring_mask) as usize]);
+            self.in_window -= slot.fired.iter().map(|&n| u32::from(n)).sum::<u32>();
+            self.unresolved_cond -= u32::from(slot.cond_done);
         }
-        let mut retired = 0;
-        while retired < self.cfg.issue_rate
-            && self.front_seq < self.next_seq
-            && Self::bit(&self.done, self.slot(self.front_seq))
-        {
-            self.front_seq += 1;
-            retired += 1;
+        self.now = cycle;
+        while self.retire_at.front().is_some_and(|&r| r <= cycle) {
+            self.retire_at.pop_front();
         }
-        self.stats.retired += u64::from(retired);
-        watched_resolved
-    }
-
-    /// Returns `true` if `d` no longer gates issue: no dependence, already
-    /// retired, or completed in the ROB.
-    #[inline]
-    fn dep_done(&self, d: u64) -> bool {
-        d == SEQ_NONE || d < self.front_seq || Self::bit(&self.done, self.slot(d))
-    }
-
-    /// Fires ready window entries into free functional units, oldest first.
-    /// Returns `true` if a ready entry could not fire for lack of a unit —
-    /// such an entry fires on the next cycle, so idle-cycle skipping must be
-    /// suppressed.
-    pub fn fire(&mut self, cycle: u64) -> bool {
-        let words = self.words;
-        let mut starved = false;
-        let mut fired_count = 0;
-        for class in 0..4 {
-            let ready = self.ready_count[class];
-            let row = &mut self.ready[class * words..(class + 1) * words];
-            let units = self.units[class];
-            if ready <= units {
-                // Every ready entry of the class gets a unit.
-                for (f, r) in self.fired.iter_mut().zip(row.iter_mut()) {
-                    *f |= std::mem::take(r);
-                }
-                self.ready_count[class] = 0;
-                fired_count += ready;
-                continue;
-            }
-            starved = true;
-            fired_count += units;
-            self.ready_count[class] = ready - units;
-            // Age order from the head: the head word's bits at or above the
-            // head, the words after it (wrapping), then the head word's
-            // bits below the head.
-            let head = (self.front_seq & self.rob_mask) as usize;
-            let (head_word, head_bit) = (head / 64, head % 64);
-            let mut take = units;
-            for k in 0..=words {
-                let wi = (head_word + k) & (words - 1);
-                let mask = if k == 0 {
-                    u64::MAX << head_bit
-                } else if k == words {
-                    (1u64 << head_bit) - 1
-                } else {
-                    u64::MAX
-                };
-                let mut bits = row[wi] & mask;
-                while bits != 0 && take > 0 {
-                    let lowest = bits & bits.wrapping_neg();
-                    bits ^= lowest;
-                    row[wi] ^= lowest;
-                    self.fired[wi] |= lowest;
-                    take -= 1;
-                }
-                if take == 0 {
-                    break;
-                }
-            }
-        }
-        self.in_window -= fired_count;
-        if fired_count > 0 {
-            let (near, far) = (((cycle + 1) & 3) as usize, ((cycle + 2) & 3) as usize);
-            debug_assert!(
-                !self.bucket_live[near] || self.bucket_at[near] == cycle + 1,
-                "completion buckets alias"
-            );
-            for w in 0..words {
-                let fired = std::mem::take(&mut self.fired[w]);
-                let slow = fired & self.slow[w];
-                self.completing[near * words + w] |= fired & !slow;
-                self.completing[far * words + w] |= slow;
-                self.bucket_live[near] |= fired & !slow != 0;
-                self.bucket_live[far] |= slow != 0;
-            }
-            self.bucket_at[near] = cycle + 1;
-            self.bucket_at[far] = cycle + 2;
-        }
-        starved
     }
 
     /// Returns `true` if both a window slot and a ROB slot are free.
     #[must_use]
     #[inline]
     pub fn can_accept(&self) -> bool {
-        self.in_window < self.cfg.window && self.next_seq - self.front_seq < u64::from(self.cfg.rob)
+        self.in_window < self.cfg.window && (self.retire_at.len() as u32) < self.cfg.rob
     }
 
-    /// Dispatches one instruction, renaming its sources against the
-    /// last-writer table. Returns the assigned sequence number.
+    /// Dispatches one instruction at the current cycle and schedules it.
+    /// Returns the cycle in which it completes (a control transfer resolves
+    /// then).
+    ///
+    /// # Panics
+    ///
+    /// Panics if called while [`can_accept`](Self::can_accept) is `false`,
+    /// or if the schedule reaches past the ring (see the ring bound above).
     #[inline]
     pub fn dispatch(
         &mut self,
         op: OpClass,
         dest: Option<fetchmech_isa::Reg>,
         srcs: [Option<fetchmech_isa::Reg>; 2],
-        mispredicted: bool,
     ) -> u64 {
-        debug_assert!(self.can_accept(), "dispatch into a full window/ROB");
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let mut deps = [SEQ_NONE; 2];
-        for (source, src) in srcs.iter().enumerate() {
-            if let Some(reg) = src {
-                deps[source] = self.last_writer[reg.file_index()];
-            }
+        assert!(self.can_accept(), "dispatch into a full window/ROB");
+        let class = class_index(op.fu_class());
+        let mut fire = self.now + 1;
+        for src in srcs.into_iter().flatten() {
+            fire = fire.max(self.reg_done[src.file_index()]);
+        }
+        while self.ring[(fire & self.ring_mask) as usize].fired[class] == self.units[class] {
+            fire += 1;
+        }
+        let done = fire + u64::from(op.latency());
+        assert!(
+            done - self.now <= self.ring_mask,
+            "schedule ring overrun: completion {done} at cycle {}",
+            self.now
+        );
+        self.ring[(fire & self.ring_mask) as usize].fired[class] += 1;
+        if op == OpClass::CondBranch {
+            self.ring[(done & self.ring_mask) as usize].cond_done += 1;
+            self.unresolved_cond += 1;
         }
         if let Some(dest) = dest {
-            self.last_writer[dest.file_index()] = seq;
+            self.reg_done[dest.file_index()] = done;
         }
-        // Both sources renamed to one producer: one edge, counted once.
-        if deps[1] == deps[0] {
-            deps[1] = SEQ_NONE;
+        if done > self.last_retire {
+            self.last_retire = done;
+            self.last_retire_count = 0;
+        } else if self.last_retire_count == self.cfg.issue_rate {
+            self.last_retire += 1;
+            self.last_retire_count = 0;
         }
-        let is_cond = op == OpClass::CondBranch;
-        self.unresolved_cond += u32::from(is_cond);
-        let latency = op.latency();
-        debug_assert!(
-            (1..=2).contains(&latency),
-            "bucket ring assumes latency <= 2"
-        );
-        let slot = self.slot(seq);
-        let (w, m) = (slot / 64, 1u64 << (slot % 64));
-        self.done[w] &= !m;
-        assign_bits(&mut self.slow[w], m, latency == 2);
-        assign_bits(&mut self.cond[w], m, is_cond);
-        debug_assert_eq!(self.waited[w] & m, 0, "a retired slot kept waiters");
-        let mut entry = SEntry {
-            class: class_index(op.fu_class()) as u8,
-            mispredicted,
-            ..SEntry::IDLE
-        };
-        for (source, &d) in deps.iter().enumerate() {
-            if !self.dep_done(d) {
-                let p = self.slot(d);
-                self.waited[p / 64] |= 1 << (p % 64);
-                let link = ((slot as u32) << 1) | source as u32;
-                entry.next_waiter[source] = std::mem::replace(&mut self.rob[p].waiter_head, link);
-                entry.waiting += 1;
-            }
-        }
-        self.rob[slot] = entry;
-        if entry.waiting == 0 {
-            self.set_ready(slot);
-        }
+        self.last_retire_count += 1;
+        self.retire_at.push_back(self.last_retire);
         self.in_window += 1;
-        self.stats.dispatched += 1;
-        seq
-    }
-
-    /// Records `n` cycles in which dispatch was blocked by a full window.
-    #[inline]
-    pub fn note_window_full(&mut self, n: u64) {
-        self.stats.window_full_cycles += n;
-    }
-
-    /// The earliest cycle at which an in-flight instruction completes, if
-    /// any instruction is executing.
-    #[must_use]
-    #[inline]
-    pub fn next_completion(&self) -> Option<u64> {
-        self.bucket_live
-            .iter()
-            .zip(self.bucket_at)
-            .filter(|&(&live, _)| live)
-            .map(|(_, at)| at)
-            .min()
-    }
-
-    /// Returns `true` if the front ROB entry has completed and will retire
-    /// on the next [`begin_cycle`](Self::begin_cycle) — cycles with a
-    /// retirable backlog cannot be skipped.
-    #[must_use]
-    #[inline]
-    pub fn front_retirable(&self) -> bool {
-        self.front_seq < self.next_seq && Self::bit(&self.done, self.slot(self.front_seq))
+        self.dispatched += 1;
+        done
     }
 
     /// Number of dispatched conditional branches not yet executed.
@@ -796,17 +549,23 @@ impl StreamCore {
         self.unresolved_cond
     }
 
-    /// Returns `true` when no instructions remain in flight.
+    /// Instructions retired by the end of the current cycle.
     #[must_use]
-    #[inline]
-    pub fn drained(&self) -> bool {
-        self.front_seq == self.next_seq
+    pub fn retired(&self) -> u64 {
+        self.dispatched - self.retire_at.len() as u64
     }
 
-    /// Returns core statistics.
+    /// Returns `true` when no instructions remain in flight.
     #[must_use]
-    pub fn stats(&self) -> OooStats {
-        self.stats
+    pub fn drained(&self) -> bool {
+        self.retire_at.is_empty()
+    }
+
+    /// The cycle in which the youngest dispatched instruction retires (0
+    /// before any dispatch): the core is drained at the end of it.
+    #[must_use]
+    pub fn last_retire(&self) -> u64 {
+        self.last_retire
     }
 }
 
@@ -1118,33 +877,37 @@ mod tests {
 
             let mut a = OooCore::new(cfg);
             let mut b = StreamCore::new(cfg);
+            // Completion cycle StreamCore scheduled for each sequence number.
+            let mut done_at = Vec::with_capacity(n);
             // Dispatched mispredicted transfers not yet resolved, oldest
-            // first; the stream core watches the oldest, as the simulator
-            // loop does.
+            // first; the oldest is the watched one, as in the simulator
+            // loop.
             let mut unresolved = std::collections::VecDeque::new();
             let mut watched_resolutions = 0;
             let mut next = 0;
             let mut cycle = 0u64;
             loop {
                 let resolved = a.begin_cycle(cycle);
+                b.advance_to(cycle);
                 let watched = unresolved.front().copied();
-                let b_resolved = b.begin_cycle(cycle, watched);
-                let a_resolved = resolved
-                    .iter()
-                    .any(|r| Some(r.seq) == watched && r.mispredicted);
-                assert_eq!(
-                    b_resolved, a_resolved,
-                    "trial {trial} {cfg:?} cycle {cycle}: watched {watched:?} resolution"
-                );
-                watched_resolutions += usize::from(a_resolved);
+                for r in &resolved {
+                    assert_eq!(
+                        done_at[r.seq as usize], cycle,
+                        "trial {trial} {cfg:?}: seq {} resolved off its scheduled cycle",
+                        r.seq
+                    );
+                    if Some(r.seq) == watched {
+                        assert!(r.mispredicted);
+                        watched_resolutions += 1;
+                    }
+                }
                 unresolved.retain(|&s| !resolved.iter().any(|r| r.seq == s));
                 assert_eq!(
                     a.stats().retired,
-                    b.stats().retired,
+                    b.retired(),
                     "trial {trial} {cfg:?} cycle {cycle}: retired"
                 );
                 a.fire(cycle);
-                b.fire(cycle);
                 let mut dispatched = 0;
                 while next < insts.len() && dispatched < cfg.issue_rate && a.can_accept() {
                     assert!(
@@ -1152,12 +915,12 @@ mod tests {
                         "trial {trial} {cfg:?} cycle {cycle}: accept mismatch"
                     );
                     let f = &insts[next];
-                    let sa = a.dispatch(f);
+                    let seq = a.dispatch(f);
+                    assert_eq!(seq, done_at.len() as u64);
                     let i = &f.inst;
-                    let sb = b.dispatch(i.op, i.dest, i.srcs, f.mispredicted);
-                    assert_eq!(sa, sb);
+                    done_at.push(b.dispatch(i.op, i.dest, i.srcs));
                     if f.mispredicted {
-                        unresolved.push_back(sa);
+                        unresolved.push_back(seq);
                     }
                     next += 1;
                     dispatched += 1;
@@ -1188,38 +951,77 @@ mod tests {
                 watched_resolutions > 0 || !insts.iter().any(|f| f.mispredicted),
                 "trial {trial}: no watched resolution was checked"
             );
-            assert_eq!(a.stats(), b.stats(), "trial {trial}");
-            assert!(b.drained());
-            assert_eq!(b.next_completion(), None);
-            assert!(!b.front_retirable());
+            assert_eq!(a.stats().retired, n as u64, "trial {trial}");
+            assert_eq!(b.retired(), n as u64, "trial {trial}");
+            assert_eq!(b.last_retire(), cycle - 1, "trial {trial}: drain cycle");
         }
     }
 
-    #[test]
-    fn stream_core_starved_fire_is_reported() {
-        let tight = OooConfig {
-            issue_rate: 4,
-            window: 16,
-            rob: 32,
+    fn one_unit_per_class(issue_rate: u32, window: u32, rob: u32) -> OooConfig {
+        OooConfig {
+            issue_rate,
+            window,
+            rob,
             fxu: 1,
             fpu: 1,
             branch_units: 1,
             mem_units: 1,
-        };
-        let mut core = StreamCore::new(tight);
-        core.begin_cycle(0, None);
-        assert!(!core.fire(0), "empty window is not starved");
-        // Two independent ALU ops, one FXU: the second is ready but starved.
-        core.dispatch(OpClass::IntAlu, None, [None, None], false);
-        core.dispatch(OpClass::IntAlu, None, [None, None], false);
-        core.begin_cycle(1, None);
+        }
+    }
+
+    #[test]
+    fn stream_core_one_unit_class_fires_one_per_cycle_oldest_first() {
+        let mut core = StreamCore::new(one_unit_per_class(8, 16, 32));
+        core.advance_to(0);
+        // Four independent ALU ops share the one FXU in age order; an FP op
+        // dispatched among them has its own unit and fires at once.
+        let alu = |core: &mut StreamCore| core.dispatch(OpClass::IntAlu, None, [None, None]);
+        let first = [alu(&mut core), alu(&mut core)];
+        let fp = core.dispatch(OpClass::FpAdd, None, [None, None]);
+        let rest = [alu(&mut core), alu(&mut core)];
+        assert_eq!([first[0], first[1], rest[0], rest[1]], [2, 3, 4, 5]);
+        assert_eq!(fp, 3, "FP op fires in cycle 1, latency 2");
+        // An op dispatched later fires after every older op of its class.
+        core.advance_to(1);
+        assert_eq!(alu(&mut core), 6);
+    }
+
+    #[test]
+    fn stream_core_schedule_stays_within_the_ring_bound() {
+        // The extreme: a serial chain of 2-cycle FP ops on one FPU behind a
+        // full 80-entry window, so each op waits for every older one.
+        let window = 80;
+        let mut core = StreamCore::new(one_unit_per_class(12, window, 200));
+        let f = Reg::fp(1);
+        let mut max_lookahead = 0;
+        let mut dispatched = 0;
+        let mut cycle = 0;
+        while dispatched < 2_000 {
+            core.advance_to(cycle);
+            while core.can_accept() {
+                let done = core.dispatch(OpClass::FpAdd, Some(f), [Some(f), None]);
+                max_lookahead = max_lookahead.max(done - cycle);
+                dispatched += 1;
+            }
+            cycle += 1;
+        }
+        let bound = 2 * u64::from(window) + 2;
         assert!(
-            core.fire(1),
-            "ready entry denied a unit must report starved"
+            max_lookahead <= bound,
+            "lookahead {max_lookahead} > {bound}"
         );
-        assert_eq!(core.next_completion(), Some(2));
-        core.begin_cycle(2, None);
-        assert!(!core.fire(2), "lone remaining op fires unstarved");
+        assert!(
+            max_lookahead >= bound - 2,
+            "the chain should come near the bound, reached {max_lookahead}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "full")]
+    fn stream_core_dispatch_into_full_rob_panics() {
+        let mut core = StreamCore::new(one_unit_per_class(1, 1, 1));
+        core.dispatch(OpClass::IntAlu, None, [None, None]);
+        core.dispatch(OpClass::IntAlu, None, [None, None]);
     }
 
     #[test]
