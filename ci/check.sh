@@ -12,6 +12,12 @@ if [ "${1:-}" = "--no-lint" ]; then
     run_clippy=0
 fi
 
+# The benchmark builds from perfbench/Cargo.lock and reads BENCHMARK.json, and
+# a change must leave both as they are. Record them now; the last stage fails
+# if any stage rewrote them.
+bench_files=(perfbench/Cargo.lock BENCHMARK.json)
+bench_sums="$(sha256sum "${bench_files[@]}")"
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -168,5 +174,14 @@ cargo test --release -q -p fetchmech --test block_stream_oracle --test block_str
 # The shipped core against the reference core, cycle by cycle (the lockstep
 # test), in the same optimized build.
 cargo test --release -q -p fetchmech-pipeline --lib
+
+echo "==> benchmark files unchanged (perfbench/Cargo.lock, BENCHMARK.json)"
+if [ "$(sha256sum "${bench_files[@]}")" != "$bench_sums" ]; then
+    echo "a CI stage changed the benchmark's files:" >&2
+    diff <(echo "$bench_sums") <(sha256sum "${bench_files[@]}") >&2 || true
+    echo "(perfbench/Cargo.lock lists every fetchmech-* package: a change to a" >&2
+    echo " crate's [dependencies] or to the workspace members rewrites it)" >&2
+    exit 1
+fi
 
 echo "CI checks passed."

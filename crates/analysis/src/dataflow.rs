@@ -651,9 +651,9 @@ impl Pass for DataflowPass {
                     check_dead_writes(p, sink);
                 }
             }
-            Target::Profile {
-                program, profile, ..
-            } => check_profile_reachability(program, profile, sink),
+            Target::Profile { program, profile } => {
+                check_profile_reachability(program, profile, sink);
+            }
             Target::Traces { program, traces } => check_trace_seeds(program, traces, sink),
             _ => {}
         }

@@ -1,7 +1,7 @@
 //! Profile flow-conservation checks: Kirchhoff-style inflow/outflow balance
-//! over execution counts, plus trace-selection preconditions.
+//! over execution counts.
 
-use fetchmech_compiler::{Profile, TraceSelectConfig};
+use fetchmech_compiler::Profile;
 use fetchmech_isa::{BlockId, Program, Terminator};
 
 use crate::diag::{DiagnosticSink, Location};
@@ -14,7 +14,6 @@ pub(crate) const FLOW_RULES: &[&str] = &[
     "profile.branch-vs-block",
     "profile.flow-conservation",
     "profile.empty",
-    "profile.trace-preconditions",
 ];
 
 /// Absolute slack allowed on count comparisons. Profiles are cut mid-trace
@@ -32,8 +31,8 @@ fn within_tolerance(a: u64, b: u64) -> bool {
 }
 
 /// Flow-conservation verifier over a [`Profile`]: count dimensions, per-branch
-/// sanity, Kirchhoff balance of estimated inflow versus measured block counts,
-/// and trace-selection preconditions.
+/// sanity, and Kirchhoff balance of estimated inflow versus measured block
+/// counts.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct FlowPass;
 
@@ -44,7 +43,7 @@ impl Pass for FlowPass {
 
     fn description(&self) -> &'static str {
         "profile invariants: count dimensions, taken<=total, branch-vs-block \
-         consistency, Kirchhoff flow conservation, trace-selection preconditions"
+         consistency, Kirchhoff flow conservation"
     }
 
     fn rules(&self) -> &'static [&'static str] {
@@ -56,21 +55,13 @@ impl Pass for FlowPass {
     }
 
     fn run(&self, target: &Target<'_>, sink: &mut DiagnosticSink) {
-        if let Target::Profile {
-            program,
-            profile,
-            config,
-        } = target
-        {
+        if let Target::Profile { program, profile } = target {
             check_profile(program, profile, sink);
-            if let Some(config) = config {
-                check_trace_preconditions(config, sink);
-            }
         }
     }
 }
 
-/// Runs the profile rules (everything except trace preconditions).
+/// Runs the profile rules.
 pub(crate) fn check_profile(program: &Program, profile: &Profile, sink: &mut DiagnosticSink) {
     // profile.dims: the count vectors must match the program. Everything
     // below indexes by these dimensions, so bail out on mismatch.
@@ -220,36 +211,5 @@ pub(crate) fn check_profile(program: &Program, profile: &Profile, sink: &mut Dia
                 format!("block entered {count} times but predecessor edges supply {expected}",),
             );
         }
-    }
-}
-
-/// Runs the `profile.trace-preconditions` rule over a trace-selection
-/// configuration.
-pub(crate) fn check_trace_preconditions(config: &TraceSelectConfig, sink: &mut DiagnosticSink) {
-    if !config.threshold.is_finite() || config.threshold <= 0.0 {
-        sink.error(
-            "profile.trace-preconditions",
-            Location::Program,
-            format!(
-                "trace-selection threshold {} must be finite and positive",
-                config.threshold
-            ),
-        );
-    } else if config.threshold < 0.5 {
-        sink.warn(
-            "profile.trace-preconditions",
-            Location::Program,
-            format!(
-                "trace-selection threshold {} below 0.5: a non-majority edge can extend a trace",
-                config.threshold
-            ),
-        );
-    }
-    if config.max_blocks == 0 {
-        sink.error(
-            "profile.trace-preconditions",
-            Location::Program,
-            "trace-selection max_blocks of 0 forbids even singleton traces",
-        );
     }
 }

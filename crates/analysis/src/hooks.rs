@@ -30,7 +30,7 @@ fn layout_hook(program: &Program, layout: &Layout) -> Result<(), String> {
 }
 
 fn profile_hook(program: &Program, profile: &Profile) -> Result<(), String> {
-    gate(crate::verify_profile(program, profile, None))
+    gate(crate::verify_profile(program, profile))
 }
 
 fn traces_hook(program: &Program, traces: &[Trace]) -> Result<(), String> {

@@ -39,14 +39,14 @@
 //!
 //! ```
 //! use fetchmech_analysis::{has_errors, verify_layout, verify_program};
-//! use fetchmech_compiler::{reorder, Profile, TraceSelectConfig};
+//! use fetchmech_compiler::{reorder, Profile};
 //! use fetchmech_workloads::{suite, InputId};
 //!
 //! let w = suite::benchmark("compress").expect("known benchmark");
 //! assert!(!has_errors(&verify_program(&w.program)));
 //!
 //! let profile = Profile::collect(&w, &InputId::PROFILE, 10_000);
-//! let r = reorder(&w.program, &profile, &TraceSelectConfig::default());
+//! let r = reorder(&w.program, &profile);
 //! let layout = r.layout(16).expect("valid order");
 //! assert!(!has_errors(&verify_layout(&r.program, &layout)));
 //! ```
@@ -80,7 +80,7 @@ pub use sanitize::{
 };
 pub use stream::StreamPass;
 
-use fetchmech_compiler::{Optimized, Profile, Reordered, Trace, TraceSelectConfig};
+use fetchmech_compiler::{Optimized, Profile, Reordered, Trace};
 use fetchmech_isa::{Layout, Program};
 use fetchmech_workloads::Workload;
 
@@ -96,19 +96,10 @@ pub fn verify_layout(program: &Program, layout: &Layout) -> Vec<Diagnostic> {
     Registry::with_default_passes().run(&Target::Layout { program, layout })
 }
 
-/// Verifies a profile against its program, optionally precondition-checking
-/// a trace-selection configuration.
+/// Verifies a profile against its program.
 #[must_use]
-pub fn verify_profile(
-    program: &Program,
-    profile: &Profile,
-    config: Option<&TraceSelectConfig>,
-) -> Vec<Diagnostic> {
-    Registry::with_default_passes().run(&Target::Profile {
-        program,
-        profile,
-        config,
-    })
+pub fn verify_profile(program: &Program, profile: &Profile) -> Vec<Diagnostic> {
+    Registry::with_default_passes().run(&Target::Profile { program, profile })
 }
 
 /// Verifies trace-selection output against its program.

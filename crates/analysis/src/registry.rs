@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use fetchmech_compiler::{Optimized, Profile, Reordered, Trace, TraceSelectConfig};
+use fetchmech_compiler::{Optimized, Profile, Reordered, Trace};
 use fetchmech_isa::{BlockStream, Layout, Program};
 use fetchmech_workloads::Workload;
 
@@ -30,9 +30,6 @@ pub enum Target<'a> {
         program: &'a Program,
         /// The profile under analysis.
         profile: &'a Profile,
-        /// Trace-selection configuration to precondition-check, if the
-        /// profile is about to feed trace selection.
-        config: Option<&'a TraceSelectConfig>,
     },
     /// Trace-selection output against its program.
     Traces {
@@ -191,19 +188,14 @@ mod tests {
         let r = Registry::with_default_passes();
         let w = suite::benchmark("compress").expect("known");
         let profile = Profile::collect(&w, &InputId::PROFILE, 5_000);
-        let cfg = TraceSelectConfig::default();
-        let traces = fetchmech_compiler::select_traces(&w.program, &profile, &cfg);
-        let reordered = fetchmech_compiler::reorder(&w.program, &profile, &cfg);
+        let traces = fetchmech_compiler::select_traces(&w.program, &profile);
+        let reordered = fetchmech_compiler::reorder(&w.program, &profile);
         let layout =
             fetchmech_isa::Layout::natural(&w.program, fetchmech_isa::LayoutOptions::new(16))
                 .expect("layout");
         let stream = w.block_stream(&layout, InputId::TEST, 2_000);
-        let optimized = fetchmech_compiler::optimize(
-            &w.program,
-            &profile,
-            &fetchmech_compiler::PassKind::ALL,
-            &fetchmech_compiler::OptimizeConfig::default(),
-        );
+        let optimized =
+            fetchmech_compiler::optimize(&w.program, &profile, &fetchmech_compiler::PassKind::ALL);
         let targets = [
             Target::Program(&w.program),
             Target::Layout {
@@ -213,7 +205,6 @@ mod tests {
             Target::Profile {
                 program: &w.program,
                 profile: &profile,
-                config: Some(&cfg),
             },
             Target::Traces {
                 program: &w.program,

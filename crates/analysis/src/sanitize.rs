@@ -198,8 +198,9 @@ impl SanitizeConfig {
 
 /// The machine parameters the sanitizer replays delivery rules against.
 ///
-/// Mirrors the simulator's `FetchConfig`, but lives here so the checker has
-/// no dependency on the simulator it audits.
+/// Kept apart from the simulator's `MachineModel`, the fetch unit's only
+/// machine description, so the checker has no dependency on the simulator it
+/// audits.
 #[derive(Debug, Clone, Copy)]
 pub struct FetchEnv {
     /// The alignment scheme under check.

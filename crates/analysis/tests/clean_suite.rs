@@ -6,7 +6,7 @@
 use fetchmech_analysis::{
     verify_layout, verify_profile, verify_program, verify_traces, verify_transform, Diagnostic,
 };
-use fetchmech_compiler::{layout_pad_all, reorder, select_traces, Profile, TraceSelectConfig};
+use fetchmech_compiler::{layout_pad_all, reorder, select_traces, Profile};
 use fetchmech_isa::{Layout, LayoutOptions};
 use fetchmech_workloads::{suite, InputId, Workload, WorkloadSpec};
 use proptest::prelude::*;
@@ -30,13 +30,12 @@ fn verify_workload_pipeline(w: &Workload, profile_len: u64) {
     assert_clean(name, &verify_layout(&w.program, &natural));
 
     let profile = Profile::collect(w, &InputId::PROFILE, profile_len);
-    let config = TraceSelectConfig::default();
-    assert_clean(name, &verify_profile(&w.program, &profile, Some(&config)));
+    assert_clean(name, &verify_profile(&w.program, &profile));
 
-    let traces = select_traces(&w.program, &profile, &config);
+    let traces = select_traces(&w.program, &profile);
     assert_clean(name, &verify_traces(&w.program, &traces));
 
-    let r = reorder(&w.program, &profile, &config);
+    let r = reorder(&w.program, &profile);
     assert_clean(name, &verify_transform(&w.program, &r));
     assert_clean(
         name,

@@ -12,7 +12,7 @@ use std::collections::HashSet;
 use fetchmech_analysis::{
     DataflowPass, Diagnostic, DiagnosticSink, Location, Pass, Severity, Target,
 };
-use fetchmech_compiler::{select_traces, Profile, Trace, TraceSelectConfig};
+use fetchmech_compiler::{select_traces, Profile, Trace};
 use fetchmech_isa::{Block, BlockId, Inst, OpClass, Program, Reg, Terminator};
 use fetchmech_workloads::{suite, InputId, Workload};
 
@@ -83,18 +83,16 @@ fn baseline_default_pass_is_clean() {
     );
 
     let profile = Profile::collect(&w, &InputId::PROFILE, 20_000);
-    let config = TraceSelectConfig::default();
     let diags = run_pass(
         &pass,
         &Target::Profile {
             program: &w.program,
             profile: &profile,
-            config: Some(&config),
         },
     );
     assert!(diags.is_empty(), "profile target: {:?}", rule_set(&diags));
 
-    let traces = select_traces(&w.program, &profile, &config);
+    let traces = select_traces(&w.program, &profile);
     let diags = run_pass(
         &pass,
         &Target::Traces {
@@ -241,7 +239,6 @@ fn mut_profile_unreachable_flow_fires() {
         &Target::Profile {
             program: &mutated,
             profile: &bad,
-            config: None,
         },
     );
     assert_only_rule(&diags, "dataflow.profile-unreachable-flow", Severity::Error);
@@ -260,7 +257,6 @@ fn mut_profile_unreachable_flow_negative_zero_count() {
         &Target::Profile {
             program: &mutated,
             profile: &profile,
-            config: None,
         },
     );
     assert!(

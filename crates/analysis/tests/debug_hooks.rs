@@ -4,7 +4,7 @@
 //! — the mutation tests must run without them.
 
 use fetchmech_analysis::install_debug_hooks;
-use fetchmech_compiler::{reorder, Profile, TraceSelectConfig};
+use fetchmech_compiler::{reorder, Profile};
 use fetchmech_workloads::{suite, InputId};
 
 #[test]
@@ -22,7 +22,7 @@ fn hooked_pipeline_constructs_verified_artifacts() {
     // and the optimized layouts.
     let w = suite::benchmark("espresso").expect("known benchmark");
     let profile = Profile::collect(&w, &InputId::PROFILE, 10_000);
-    let r = reorder(&w.program, &profile, &TraceSelectConfig::default());
+    let r = reorder(&w.program, &profile);
     let layout = r.layout_pad_trace(16).expect("layout");
     assert!(!layout.code().is_empty());
 }

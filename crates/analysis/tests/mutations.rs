@@ -12,7 +12,7 @@ use fetchmech_analysis::{
     verify_layout, verify_profile, verify_program, verify_trace_diff, verify_traces,
     verify_transform, Diagnostic, Severity,
 };
-use fetchmech_compiler::{reorder, select_traces, Profile, Reordered, Trace, TraceSelectConfig};
+use fetchmech_compiler::{reorder, select_traces, Profile, Reordered, Trace};
 use fetchmech_isa::{
     Addr, BlockId, BranchId, CtrlAttr, Inst, Layout, LayoutOptions, OpClass, PadMode, Program,
     Terminator,
@@ -33,7 +33,7 @@ fn profiled() -> (Workload, Profile) {
 
 fn reordered() -> (Workload, Profile, Reordered) {
     let (w, p) = profiled();
-    let r = reorder(&w.program, &p, &TraceSelectConfig::default());
+    let r = reorder(&w.program, &p);
     (w, p, r)
 }
 
@@ -444,7 +444,7 @@ fn profile_vectors(p: &Profile) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
 #[test]
 fn baseline_profile_is_clean() {
     let (w, p) = profiled();
-    let diags = verify_profile(&w.program, &p, Some(&TraceSelectConfig::default()));
+    let diags = verify_profile(&w.program, &p);
     assert!(
         diags.is_empty(),
         "expected clean baseline, got {:?}",
@@ -458,7 +458,7 @@ fn mut_profile_dims() {
     let (mut blocks, taken, total) = profile_vectors(&p);
     blocks.pop();
     let bad = Profile::from_raw(blocks, taken, total);
-    let diags = verify_profile(&w.program, &bad, None);
+    let diags = verify_profile(&w.program, &bad);
     assert_fires(&diags, "profile.dims", Severity::Error);
 }
 
@@ -471,7 +471,7 @@ fn mut_profile_taken_le_total() {
         .expect("branches exist");
     taken[hot] = total[hot] + 10;
     let bad = Profile::from_raw(blocks, taken, total);
-    let diags = verify_profile(&w.program, &bad, None);
+    let diags = verify_profile(&w.program, &bad);
     assert_fires(&diags, "profile.taken-le-total", Severity::Error);
 }
 
@@ -491,7 +491,7 @@ fn mut_profile_branch_vs_block() {
     total[hot] *= 3;
     taken[hot] = total[hot] / 2;
     let bad = Profile::from_raw(blocks, taken, total);
-    let diags = verify_profile(&w.program, &bad, None);
+    let diags = verify_profile(&w.program, &bad);
     assert_fires(&diags, "profile.branch-vs-block", Severity::Error);
 }
 
@@ -508,7 +508,7 @@ fn mut_profile_flow_conservation() {
     );
     blocks[hot] *= 2;
     let bad = Profile::from_raw(blocks, taken, total);
-    let diags = verify_profile(&w.program, &bad, None);
+    let diags = verify_profile(&w.program, &bad);
     assert_fires(&diags, "profile.flow-conservation", Severity::Error);
 }
 
@@ -520,48 +520,15 @@ fn mut_profile_empty() {
         vec![0; p.num_branches()],
         vec![0; p.num_branches()],
     );
-    let diags = verify_profile(&w.program, &bad, None);
+    let diags = verify_profile(&w.program, &bad);
     assert_fires(&diags, "profile.empty", Severity::Warning);
-}
-
-#[test]
-fn mut_trace_preconditions_threshold() {
-    let (w, p) = profiled();
-    let cfg = TraceSelectConfig {
-        threshold: f64::NAN,
-        max_blocks: 64,
-    };
-    let diags = verify_profile(&w.program, &p, Some(&cfg));
-    assert_fires(&diags, "profile.trace-preconditions", Severity::Error);
-}
-
-#[test]
-fn mut_trace_preconditions_max_blocks() {
-    let (w, p) = profiled();
-    let cfg = TraceSelectConfig {
-        threshold: 0.6,
-        max_blocks: 0,
-    };
-    let diags = verify_profile(&w.program, &p, Some(&cfg));
-    assert_fires(&diags, "profile.trace-preconditions", Severity::Error);
-}
-
-#[test]
-fn mut_trace_preconditions_low_threshold_warns() {
-    let (w, p) = profiled();
-    let cfg = TraceSelectConfig {
-        threshold: 0.3,
-        max_blocks: 64,
-    };
-    let diags = verify_profile(&w.program, &p, Some(&cfg));
-    assert_fires(&diags, "profile.trace-preconditions", Severity::Warning);
 }
 
 // ----------------------------------------------------------------- TracesPass
 
 fn selected() -> (Workload, Vec<Trace>) {
     let (w, p) = profiled();
-    let traces = select_traces(&w.program, &p, &TraceSelectConfig::default());
+    let traces = select_traces(&w.program, &p);
     (w, traces)
 }
 

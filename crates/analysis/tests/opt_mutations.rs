@@ -14,9 +14,7 @@ use fetchmech_analysis::{
     check_app_dynamic, check_application, check_opt_static, check_ssa, Diagnostic, DiagnosticSink,
     Severity,
 };
-use fetchmech_compiler::{
-    build_ssa, optimize, LvnRewrite, OptimizeConfig, Optimized, PassEdit, PassKind, Profile,
-};
+use fetchmech_compiler::{build_ssa, optimize, LvnRewrite, Optimized, PassEdit, PassKind, Profile};
 use fetchmech_isa::{BlockId, CfgView, Dominators, Inst, Terminator};
 use fetchmech_workloads::{suite, InputId, Workload};
 
@@ -25,12 +23,7 @@ const INSTS: u64 = 20_000;
 fn pipeline(name: &str) -> (Workload, Profile, Optimized) {
     let w = suite::benchmark(name).expect("known benchmark");
     let profile = Profile::collect(&w, &InputId::PROFILE, INSTS);
-    let optimized = optimize(
-        &w.program,
-        &profile,
-        &PassKind::ALL,
-        &OptimizeConfig::default(),
-    );
+    let optimized = optimize(&w.program, &profile, &PassKind::ALL);
     (w, profile, optimized)
 }
 

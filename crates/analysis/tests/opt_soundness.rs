@@ -8,7 +8,7 @@ use std::collections::HashSet;
 
 use fetchmech_analysis::dataflow::{dead_writes, liveness, reachability};
 use fetchmech_analysis::{verify_optimized, Severity};
-use fetchmech_compiler::{optimize, OptimizeConfig, PassEdit, PassKind, Profile};
+use fetchmech_compiler::{optimize, PassEdit, PassKind, Profile};
 use fetchmech_isa::{CfgView, Layout, LayoutOptions, Terminator};
 use fetchmech_workloads::{suite, InputId, Workload, WorkloadSpec};
 use proptest::prelude::*;
@@ -100,7 +100,7 @@ proptest! {
             .filter(|&(i, _)| mask & (1 << i) != 0)
             .map(|(_, &p)| p)
             .collect();
-        let optimized = optimize(&w.program, &profile, &passes, &OptimizeConfig::default());
+        let optimized = optimize(&w.program, &profile, &passes);
         let diags = verify_optimized(&w, &profile, &optimized, INSTS);
         let errors: Vec<_> = diags
             .iter()
@@ -126,7 +126,7 @@ proptest! {
         let w = generated(seed, funcs, loop_prob, call_prob);
         let profile = Profile::collect(&w, &InputId::PROFILE, INSTS);
         let optimized =
-            optimize(&w.program, &profile, &PassKind::ALL, &OptimizeConfig::default());
+            optimize(&w.program, &profile, &PassKind::ALL);
         let w_after = optimized_workload(&w, &optimized);
 
         // Instruction budgets cut the two runs at different points (DCE
@@ -152,12 +152,7 @@ fn full_suite_pipeline_verifies_clean() {
     for name in suite::INT_NAMES.iter().chain(suite::FP_NAMES.iter()) {
         let w = suite::benchmark(name).expect("known benchmark");
         let profile = Profile::collect(&w, &InputId::PROFILE, INSTS);
-        let optimized = optimize(
-            &w.program,
-            &profile,
-            &PassKind::ALL,
-            &OptimizeConfig::default(),
-        );
+        let optimized = optimize(&w.program, &profile, &PassKind::ALL);
         let diags = verify_optimized(&w, &profile, &optimized, INSTS);
         let errors: Vec<_> = diags
             .iter()
@@ -175,12 +170,7 @@ fn dce_removes_every_statically_flagged_dead_write() {
     for name in ["compress", "eqntott", "espresso", "li"] {
         let w = suite::benchmark(name).expect("known benchmark");
         let profile = Profile::collect(&w, &InputId::PROFILE, INSTS);
-        let optimized = optimize(
-            &w.program,
-            &profile,
-            &[PassKind::Dce],
-            &OptimizeConfig::default(),
-        );
+        let optimized = optimize(&w.program, &profile, &[PassKind::Dce]);
         let app = optimized
             .applications
             .iter()

@@ -2,37 +2,12 @@
 
 use fetchmech_isa::Addr;
 
-/// Configuration of the branch-target buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct BtbConfig {
-    /// Number of entries (direct-mapped).
-    pub entries: usize,
-    /// Saturating-counter width in bits (the paper uses 2).
-    pub counter_bits: u8,
-}
-
-impl BtbConfig {
-    #[inline]
-    fn counter_max(&self) -> u8 {
-        (1u16 << self.counter_bits) as u8 - 1
-    }
-
-    /// Threshold at or above which a counter predicts taken.
-    #[inline]
-    fn taken_threshold(&self) -> u8 {
-        1u8 << (self.counter_bits - 1)
-    }
-}
-
-impl Default for BtbConfig {
-    /// The paper's BTB: 1024 entries, 2-bit counters.
-    fn default() -> Self {
-        Self {
-            entries: 1024,
-            counter_bits: 2,
-        }
-    }
-}
+/// Saturating-counter width in bits: the paper's BTB uses 2-bit counters.
+const COUNTER_BITS: u8 = 2;
+const _: () = assert!(COUNTER_BITS >= 1 && COUNTER_BITS <= 7);
+const COUNTER_MAX: u8 = (1 << COUNTER_BITS) - 1;
+/// Threshold at or above which a counter predicts taken.
+const TAKEN_THRESHOLD: u8 = 1 << (COUNTER_BITS - 1);
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Entry {
@@ -84,35 +59,29 @@ pub struct BtbStats {
 /// The branch-target buffer.
 #[derive(Debug, Clone)]
 pub struct Btb {
-    config: BtbConfig,
     entries: Vec<Option<Entry>>,
     stats: BtbStats,
 }
 
 impl Btb {
-    /// Creates an empty BTB.
+    /// Creates an empty direct-mapped BTB of `entries` entries (1024 in the
+    /// paper's machines).
     ///
     /// # Panics
     ///
-    /// Panics if `config.entries` is zero or `config.counter_bits` is not in
-    /// `1..=7`.
+    /// Panics if `entries` is zero.
     #[must_use]
-    pub fn new(config: BtbConfig) -> Self {
-        assert!(config.entries > 0, "BTB must have at least one entry");
-        assert!(
-            (1..=7).contains(&config.counter_bits),
-            "counter bits must be in 1..=7"
-        );
+    pub fn new(entries: usize) -> Self {
+        assert!(entries > 0, "BTB must have at least one entry");
         Self {
-            config,
-            entries: vec![None; config.entries],
+            entries: vec![None; entries],
             stats: BtbStats::default(),
         }
     }
 
     #[inline]
     fn slot(&self, addr: Addr) -> usize {
-        let entries = self.config.entries as u64;
+        let entries = self.entries.len() as u64;
         let w = addr.word_index();
         // Entry counts are powers of two in every machine model; keep the
         // modulo fallback for odd test configurations.
@@ -137,7 +106,7 @@ impl Btb {
             Some(e) if e.tag == addr.word_index() => {
                 self.stats.hits += 1;
                 let taken = if is_cond {
-                    e.counter >= self.config.taken_threshold()
+                    e.counter >= TAKEN_THRESHOLD
                 } else {
                     true
                 };
@@ -160,7 +129,7 @@ impl Btb {
         match self.entries[slot] {
             Some(e) if e.tag == addr.word_index() => {
                 let taken = if is_cond {
-                    e.counter >= self.config.taken_threshold()
+                    e.counter >= TAKEN_THRESHOLD
                 } else {
                     true
                 };
@@ -189,7 +158,7 @@ impl Btb {
             Some(e) if e.tag == tag => {
                 if is_cond {
                     if taken {
-                        e.counter = (e.counter + 1).min(self.config.counter_max());
+                        e.counter = (e.counter + 1).min(COUNTER_MAX);
                     } else {
                         e.counter = e.counter.saturating_sub(1);
                     }
@@ -208,7 +177,7 @@ impl Btb {
                     *other = Some(Entry {
                         tag,
                         target,
-                        counter: self.config.taken_threshold(),
+                        counter: TAKEN_THRESHOLD,
                     });
                 }
             }
@@ -227,7 +196,7 @@ mod tests {
     use super::*;
 
     fn btb() -> Btb {
-        Btb::new(BtbConfig::default())
+        Btb::new(1024)
     }
 
     #[test]
@@ -323,12 +292,5 @@ mod tests {
         let peeked = b.peek(a, true);
         assert_eq!(b.stats().lookups, before);
         assert_eq!(peeked, b.predict(a, true));
-    }
-
-    #[test]
-    fn default_is_the_paper_config() {
-        let c = BtbConfig::default();
-        assert_eq!(c.entries, 1024);
-        assert_eq!(c.counter_bits, 2);
     }
 }

@@ -11,44 +11,25 @@
 
 use fetchmech_isa::Addr;
 
-/// Configuration of a [`Gshare`] predictor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct GshareConfig {
-    /// log2 of the pattern-history-table size (entries = `1 << index_bits`).
-    pub index_bits: u32,
-    /// Global-history length in branches (<= `index_bits` is typical).
-    pub history_bits: u32,
-}
-
-impl GshareConfig {
-    /// A 4K-entry PHT with 6 bits of global history — a mid-90s-plausible
-    /// configuration comparable in storage to the paper's 1024-entry BTB.
-    /// (Short histories resist the context dilution caused by uncorrelated
-    /// branches interleaved into the global history.)
-    #[must_use]
-    pub fn default_4k() -> Self {
-        Self {
-            index_bits: 12,
-            history_bits: 6,
-        }
-    }
-}
-
-impl Default for GshareConfig {
-    fn default() -> Self {
-        Self::default_4k()
-    }
-}
+/// log2 of the pattern-history-table size: a 4K-entry PHT, comparable in
+/// storage to the paper's 1024-entry BTB.
+const INDEX_BITS: u32 = 12;
+/// Global-history length in branches. Short histories resist the context
+/// dilution caused by uncorrelated branches interleaved into the history.
+const HISTORY_BITS: u32 = 6;
+const _: () = assert!(INDEX_BITS >= 1 && INDEX_BITS <= 24 && HISTORY_BITS <= INDEX_BITS);
+const INDEX_MASK: u64 = (1 << INDEX_BITS) - 1;
+const HISTORY_MASK: u64 = (1 << HISTORY_BITS) - 1;
 
 /// The gshare predictor.
 ///
 /// # Examples
 ///
 /// ```
-/// use fetchmech_bpred::{Gshare, GshareConfig};
+/// use fetchmech_bpred::Gshare;
 /// use fetchmech_isa::Addr;
 ///
-/// let mut g = Gshare::new(GshareConfig::default());
+/// let mut g = Gshare::new();
 /// let pc = Addr::new(0x1000);
 /// // Train past the point where the global history saturates to all-taken.
 /// for _ in 0..64 {
@@ -58,47 +39,33 @@ impl Default for GshareConfig {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Gshare {
-    config: GshareConfig,
     table: Vec<u8>,
     history: u64,
 }
 
+impl Default for Gshare {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Gshare {
-    /// Creates a predictor with all counters weakly not-taken.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= index_bits <= 24` and `history_bits <= 64`.
+    /// Creates a 4K-entry predictor with 6 bits of global history and all
+    /// counters weakly not-taken.
     #[must_use]
-    pub fn new(config: GshareConfig) -> Self {
-        assert!(
-            (1..=24).contains(&config.index_bits),
-            "index bits must be in 1..=24"
-        );
-        assert!(config.history_bits <= 64, "history bits must be <= 64");
+    pub fn new() -> Self {
         Self {
-            config,
-            table: vec![1; 1 << config.index_bits],
+            table: vec![1; 1 << INDEX_BITS],
             history: 0,
         }
     }
 
     fn index(&self, addr: Addr) -> usize {
-        let mask = (1u64 << self.config.index_bits) - 1;
-        let hist_mask = if self.config.history_bits == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.config.history_bits) - 1
-        };
         // Fold the history into the *upper* index bits so the PC dominates
         // the low bits: uncorrelated branches then perturb few table entries
         // instead of scattering every branch across the table.
-        let shift = self
-            .config
-            .index_bits
-            .saturating_sub(self.config.history_bits);
-        let h = (self.history & hist_mask) << shift;
-        ((addr.word_index() ^ h) & mask) as usize
+        let h = (self.history & HISTORY_MASK) << (INDEX_BITS - HISTORY_BITS);
+        ((addr.word_index() ^ h) & INDEX_MASK) as usize
     }
 
     /// Predicts the direction of the conditional branch at `addr`.
@@ -132,27 +99,31 @@ pub struct Tournament {
     bimodal: Vec<u8>,
     /// PC-indexed chooser: >= 2 selects gshare, < 2 selects bimodal.
     chooser: Vec<u8>,
-    index_mask: u64,
+}
+
+impl Default for Tournament {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Tournament {
-    /// Creates a tournament with the given gshare component; the bimodal and
-    /// chooser tables share the gshare index width.
+    /// Creates a tournament whose bimodal and chooser tables share the
+    /// gshare component's 4K-entry index width.
     #[must_use]
-    pub fn new(config: GshareConfig) -> Self {
-        let entries = 1usize << config.index_bits;
+    pub fn new() -> Self {
+        let entries = 1usize << INDEX_BITS;
         Self {
-            gshare: Gshare::new(config),
+            gshare: Gshare::new(),
             bimodal: vec![1; entries],
             // Start neutral-toward-bimodal: the per-branch component warms
             // up faster, and the chooser migrates hard branches to gshare.
             chooser: vec![1; entries],
-            index_mask: entries as u64 - 1,
         }
     }
 
     fn pc_index(&self, addr: Addr) -> usize {
-        (addr.word_index() & self.index_mask) as usize
+        (addr.word_index() & INDEX_MASK) as usize
     }
 
     /// Predicts the direction of the conditional branch at `addr`.
@@ -198,34 +169,21 @@ pub enum PredictorKind {
     /// The paper's baseline: 2-bit counters stored in the BTB entries.
     #[default]
     TwoBitBtb,
-    /// A gshare two-level predictor alongside the BTB.
-    Gshare(GshareConfig),
     /// McFarling's combining predictor (bimodal + gshare + chooser) — the
     /// paper's reference \[11\] and its concluding remarks' "more
     /// sophisticated predictor".
-    Tournament(GshareConfig),
+    Tournament,
 }
 
 impl std::fmt::Display for PredictorKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PredictorKind::TwoBitBtb => f.write_str("2-bit BTB"),
-            PredictorKind::Gshare(c) => {
-                write!(
-                    f,
-                    "gshare {}K/{}-bit",
-                    (1usize << c.index_bits) / 1024,
-                    c.history_bits
-                )
-            }
-            PredictorKind::Tournament(c) => {
-                write!(
-                    f,
-                    "tournament {}K/{}-bit",
-                    (1usize << c.index_bits) / 1024,
-                    c.history_bits
-                )
-            }
+            PredictorKind::Tournament => write!(
+                f,
+                "tournament {}K/{HISTORY_BITS}-bit",
+                (1usize << INDEX_BITS) / 1024
+            ),
         }
     }
 }
@@ -236,7 +194,7 @@ mod tests {
 
     #[test]
     fn always_taken_branch_trains_quickly() {
-        let mut g = Gshare::new(GshareConfig::default());
+        let mut g = Gshare::new();
         let pc = Addr::new(0x1000);
         // More iterations than history bits, so the final index is trained.
         for _ in 0..64 {
@@ -249,10 +207,7 @@ mod tests {
     fn alternating_pattern_is_learned_via_history() {
         // A strict T/N alternation defeats a per-branch 2-bit counter but is
         // perfectly predictable with global history.
-        let mut g = Gshare::new(GshareConfig {
-            index_bits: 12,
-            history_bits: 8,
-        });
+        let mut g = Gshare::new();
         let pc = Addr::new(0x2000);
         let mut correct_tail = 0;
         for i in 0..2000u32 {
@@ -273,7 +228,7 @@ mod tests {
     fn short_loop_exit_is_learned() {
         // taken,taken,taken,not-taken repeated: history disambiguates the
         // exit iteration.
-        let mut g = Gshare::new(GshareConfig::default());
+        let mut g = Gshare::new();
         let pc = Addr::new(0x3000);
         let mut correct_tail = 0;
         for i in 0..4000u32 {
@@ -290,15 +245,13 @@ mod tests {
     #[test]
     fn predictor_kind_displays() {
         assert_eq!(PredictorKind::TwoBitBtb.to_string(), "2-bit BTB");
-        assert!(PredictorKind::Gshare(GshareConfig::default_4k())
-            .to_string()
-            .contains("gshare 4K"));
+        assert_eq!(PredictorKind::Tournament.to_string(), "tournament 4K/6-bit");
     }
 
     #[test]
     fn tournament_never_trails_bimodal_on_random_branches() {
         use fetchmech_isa::rng::Pcg64;
-        let mut t = Tournament::new(GshareConfig::default());
+        let mut t = Tournament::new();
         let mut bimodal_only = vec![1u8; 4096];
         let mut rng = Pcg64::new(11);
         let mut t_correct = 0u32;
@@ -332,7 +285,7 @@ mod tests {
 
     #[test]
     fn tournament_beats_bimodal_on_alternation() {
-        let mut t = Tournament::new(GshareConfig::default());
+        let mut t = Tournament::new();
         let pc = Addr::new(0x4000);
         let mut correct_tail = 0;
         for i in 0..4000u32 {
@@ -346,14 +299,5 @@ mod tests {
         // A per-branch 2-bit counter gets ~50% here; the tournament's gshare
         // side learns the alternation and the chooser routes to it.
         assert!(correct_tail > 1800, "alternation: {correct_tail}/2000");
-    }
-
-    #[test]
-    #[should_panic(expected = "index bits")]
-    fn zero_index_bits_panics() {
-        let _ = Gshare::new(GshareConfig {
-            index_bits: 0,
-            history_bits: 0,
-        });
     }
 }

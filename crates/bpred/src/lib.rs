@@ -16,10 +16,10 @@
 //! # Examples
 //!
 //! ```
-//! use fetchmech_bpred::{Btb, BtbConfig};
+//! use fetchmech_bpred::Btb;
 //! use fetchmech_isa::Addr;
 //!
-//! let mut btb = Btb::new(BtbConfig::default());
+//! let mut btb = Btb::new(1024);
 //! let branch = Addr::new(0x1000);
 //! let target = Addr::new(0x2000);
 //!
@@ -39,5 +39,5 @@
 pub(crate) mod btb;
 pub(crate) mod gshare;
 
-pub use btb::{Btb, BtbConfig, BtbStats, Prediction};
-pub use gshare::{Gshare, GshareConfig, PredictorKind, Tournament};
+pub use btb::{Btb, BtbStats, Prediction};
+pub use gshare::{Gshare, PredictorKind, Tournament};

@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use fetchmech_bpred::{Btb, BtbConfig, Gshare, GshareConfig, Tournament};
+use fetchmech_bpred::{Btb, Gshare, Tournament};
 use fetchmech_isa::rng::Pcg64;
 use fetchmech_isa::Addr;
 use proptest::prelude::*;
@@ -87,7 +87,7 @@ proptest! {
     #[test]
     fn btb_matches_reference_model(ops in arb_ops()) {
         let entries = 256;
-        let mut dut = Btb::new(BtbConfig { entries, counter_bits: 2 });
+        let mut dut = Btb::new(entries);
         let mut model = RefBtb::new(entries);
         for op in ops {
             let addr = Addr::from_word_index(op.addr_word);
@@ -106,8 +106,8 @@ proptest! {
     #[test]
     fn predictors_learn_biased_branches(seed in 1u64..5000) {
         let mut rng = Pcg64::new(seed);
-        let mut gshare = Gshare::new(GshareConfig::default());
-        let mut tourney = Tournament::new(GshareConfig::default());
+        let mut gshare = Gshare::new();
+        let mut tourney = Tournament::new();
         let n_branches = 16usize;
         let biases: Vec<f64> =
             (0..n_branches).map(|_| if rng.chance(0.5) { 0.92 } else { 0.08 }).collect();

@@ -21,12 +21,12 @@
 //! Profile a workload on its training inputs and reorder it:
 //!
 //! ```
-//! use fetchmech_compiler::{reorder, Profile, TraceSelectConfig};
+//! use fetchmech_compiler::{reorder, Profile};
 //! use fetchmech_workloads::{suite, InputId};
 //!
 //! let w = suite::benchmark("compress").expect("known benchmark");
 //! let profile = Profile::collect(&w, &InputId::PROFILE, 10_000);
-//! let reordered = reorder(&w.program, &profile, &TraceSelectConfig::default());
+//! let reordered = reorder(&w.program, &profile);
 //! let layout = reordered.layout(16).expect("valid order");
 //! assert_eq!(layout.order().len(), w.program.num_blocks());
 //! ```
@@ -48,9 +48,9 @@ pub(crate) mod traceselect;
 pub use dce::{dce, DceResult, DeadSite};
 pub use lvn::{copy_op, lvn, lvn_pure, LvnResult, LvnRewrite};
 pub use pad::{expansion, layout_pad_all, PadReport};
-pub use passes::{optimize, OptimizeConfig, Optimized, PassApplication, PassEdit, PassKind};
+pub use passes::{optimize, Optimized, PassApplication, PassEdit, PassKind};
 pub use profile::Profile;
 pub use reorder::{reorder, Reordered};
 pub use ssa::{build_ssa, PhiNode, SsaDef, SsaForm, SsaValue};
 pub use superblock::{superblock, SuperblockResult};
-pub use traceselect::{select_traces, Trace, TraceSelectConfig};
+pub use traceselect::{select_traces, Trace};

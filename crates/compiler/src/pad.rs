@@ -70,7 +70,6 @@ mod tests {
     use super::*;
     use crate::profile::Profile;
     use crate::reorder::reorder;
-    use crate::traceselect::TraceSelectConfig;
     use fetchmech_workloads::{suite, InputId};
 
     #[test]
@@ -92,7 +91,7 @@ mod tests {
     fn pad_trace_is_much_cheaper_than_pad_all() {
         let w = suite::benchmark("espresso").expect("known");
         let p = Profile::collect(&w, &InputId::PROFILE, 30_000);
-        let r = reorder(&w.program, &p, &TraceSelectConfig::default());
+        let r = reorder(&w.program, &p);
         for bs in [16, 32, 64] {
             let (all, trace) = expansion(&w.program, &r, bs).expect("layouts");
             assert!(

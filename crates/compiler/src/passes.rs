@@ -24,7 +24,6 @@ use crate::dce::{dce, DeadSite};
 use crate::lvn::{lvn, LvnRewrite};
 use crate::profile::Profile;
 use crate::superblock::superblock;
-use crate::traceselect::TraceSelectConfig;
 
 /// One pass of the pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -68,24 +67,9 @@ impl std::fmt::Display for PassKind {
     }
 }
 
-/// Pipeline configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OptimizeConfig {
-    /// Trace selection parameters for superblock formation.
-    pub trace: TraceSelectConfig,
-    /// Code-growth budget for tail duplication, as a fraction of the
-    /// program's static instruction count.
-    pub growth_limit: f64,
-}
-
-impl Default for OptimizeConfig {
-    fn default() -> Self {
-        Self {
-            trace: TraceSelectConfig::default(),
-            growth_limit: 0.25,
-        }
-    }
-}
+/// Code-growth budget for the pipeline's tail duplication, as a fraction of
+/// the program's static instruction count.
+pub(crate) const SUPERBLOCK_GROWTH: f64 = 0.25;
 
 /// The pass-specific edit summary: a *declaration* of what the pass did,
 /// which the validation layer checks against the before/after programs.
@@ -222,12 +206,7 @@ pub(crate) fn straighten(program: &Program, order: &[BlockId]) -> (Program, usiz
 /// Panics if an intermediate program fails re-validation (a pass bug), or
 /// if the installed verification hook rejects the result.
 #[must_use]
-pub fn optimize(
-    program: &Program,
-    profile: &Profile,
-    passes: &[PassKind],
-    config: &OptimizeConfig,
-) -> Optimized {
+pub fn optimize(program: &Program, profile: &Profile, passes: &[PassKind]) -> Optimized {
     assert_eq!(
         profile.num_blocks(),
         program.num_blocks(),
@@ -273,7 +252,7 @@ pub fn optimize(
             }
             PassKind::Superblock => {
                 let prof = profile.project(&cum_block, &cum_branch);
-                let r = superblock(&cur, &prof, &config.trace, config.growth_limit);
+                let r = superblock(&cur, &prof, SUPERBLOCK_GROWTH);
                 (
                     r.program,
                     r.rel_block,
@@ -340,7 +319,7 @@ mod tests {
     fn run(name: &str, passes: &[PassKind]) -> (Workload, Profile, Optimized) {
         let w = suite::benchmark(name).expect("known");
         let p = Profile::collect(&w, &InputId::PROFILE, 30_000);
-        let o = optimize(&w.program, &p, passes, &OptimizeConfig::default());
+        let o = optimize(&w.program, &p, passes);
         (w, p, o)
     }
 

@@ -18,7 +18,7 @@ use fetchmech_isa::{BlockId, Layout, LayoutError, LayoutOptions, PadMode, Progra
 use crate::passes::straighten;
 use crate::profile::Profile;
 use crate::superblock::place_traces;
-use crate::traceselect::{select_traces, Trace, TraceSelectConfig};
+use crate::traceselect::{select_traces, Trace};
 
 /// The result of code reordering: the edited program, the block order, and
 /// the trace-end set (for the pad-trace optimization).
@@ -67,8 +67,8 @@ impl Reordered {
 /// Panics only on internal invariant violations (the edited program failing
 /// validation), which would be a bug.
 #[must_use]
-pub fn reorder(program: &Program, profile: &Profile, config: &TraceSelectConfig) -> Reordered {
-    let traces = select_traces(program, profile, config);
+pub fn reorder(program: &Program, profile: &Profile) -> Reordered {
+    let traces = select_traces(program, profile);
     let order = place_traces(program, profile, &traces);
     let (edited, inverted_branches) = straighten(program, &order);
     // Only traces the profile actually saw get padded ends: padding cold
@@ -98,7 +98,7 @@ mod tests {
     fn setup(name: &str) -> (Workload, Reordered) {
         let w = suite::benchmark(name).expect("known");
         let p = Profile::collect(&w, &InputId::PROFILE, 30_000);
-        let r = reorder(&w.program, &p, &TraceSelectConfig::default());
+        let r = reorder(&w.program, &p);
         (w, r)
     }
 

@@ -21,7 +21,7 @@ use std::collections::{HashMap, HashSet};
 use fetchmech_isa::{BlockId, BranchId, CfgView, Program, Terminator};
 
 use crate::profile::Profile;
-use crate::traceselect::{select_traces, Trace, TraceSelectConfig};
+use crate::traceselect::{select_traces, Trace};
 
 /// The result of superblock formation.
 #[derive(Debug, Clone)]
@@ -80,13 +80,8 @@ fn retarget(term: &mut Terminator, from: BlockId, to: BlockId) {
 /// Panics if the edited program fails re-validation (duplication with fresh
 /// branch ids cannot break structural invariants).
 #[must_use]
-pub fn superblock(
-    program: &Program,
-    profile: &Profile,
-    config: &TraceSelectConfig,
-    growth_limit: f64,
-) -> SuperblockResult {
-    let traces = select_traces(program, profile, config);
+pub fn superblock(program: &Program, profile: &Profile, growth_limit: f64) -> SuperblockResult {
+    let traces = select_traces(program, profile);
     let view = CfgView::local(program);
     let entries: HashSet<BlockId> = program.func_entries().iter().copied().collect();
 
@@ -304,7 +299,7 @@ mod tests {
     fn formed(name: &str) -> (Workload, Profile, SuperblockResult) {
         let w = suite::benchmark(name).expect("known");
         let p = Profile::collect(&w, &InputId::PROFILE, 30_000);
-        let r = superblock(&w.program, &p, &TraceSelectConfig::default(), 0.25);
+        let r = superblock(&w.program, &p, 0.25);
         (w, p, r)
     }
 
@@ -366,7 +361,7 @@ mod tests {
     fn growth_budget_is_respected() {
         let (w, p, _) = formed("compress");
         for limit in [0.0, 0.05, 0.25] {
-            let r = superblock(&w.program, &p, &TraceSelectConfig::default(), limit);
+            let r = superblock(&w.program, &p, limit);
             let grown: usize = r
                 .duplicated
                 .iter()
@@ -389,8 +384,7 @@ mod tests {
         for w in suite::full_suite() {
             let name = &w.spec.name;
             let p = Profile::collect(&w, &InputId::PROFILE, 10_000);
-            let config = TraceSelectConfig::default();
-            let r = superblock(&w.program, &p, &config, 0.0);
+            let r = superblock(&w.program, &p, 0.0);
             assert_eq!(r.formed, 0, "{name}");
             assert!(r.duplicated.is_empty(), "{name}");
             let blocks: Vec<BlockId> = (0..w.program.num_blocks() as u32).map(BlockId).collect();
@@ -398,7 +392,7 @@ mod tests {
             assert_eq!(r.rel_block, blocks, "{name}");
             assert_eq!(r.rel_branch, branches, "{name}");
             assert_eq!(r.program, w.program, "{name}");
-            let traces = select_traces(&w.program, &p, &config);
+            let traces = select_traces(&w.program, &p);
             assert_eq!(r.order, place_traces(&w.program, &p, &traces), "{name}");
         }
     }

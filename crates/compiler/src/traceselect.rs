@@ -21,35 +21,23 @@ pub struct Trace {
     pub weight: u64,
 }
 
-/// Configuration for trace selection.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TraceSelectConfig {
-    /// Minimum transition probability to extend a trace (Fisher used values
-    /// around 0.5–0.7; the default follows Hwu & Chang's 0.6).
-    pub threshold: f64,
-    /// Maximum trace length in blocks (guards pathological growth).
-    pub max_blocks: usize,
-}
-
-impl Default for TraceSelectConfig {
-    fn default() -> Self {
-        Self {
-            threshold: 0.6,
-            max_blocks: 64,
-        }
-    }
-}
+/// Minimum transition probability to extend a trace (Fisher used values
+/// around 0.5–0.7; this follows Hwu & Chang's 0.6).
+pub(crate) const TRACE_THRESHOLD: f64 = 0.6;
+/// Maximum trace length in blocks (guards pathological growth).
+pub(crate) const TRACE_MAX_BLOCKS: usize = 64;
+// A threshold below 0.5 would let a non-majority edge extend a trace, one
+// above 1 would forbid every extension, and a zero length would forbid even
+// singleton traces.
+const _: () = assert!(TRACE_THRESHOLD >= 0.5 && TRACE_THRESHOLD <= 1.0);
+const _: () = assert!(TRACE_MAX_BLOCKS >= 1);
 
 /// Selects traces covering every block of `program`.
 ///
 /// Every block appears in exactly one trace; blocks the profile never saw
 /// become singleton traces with zero weight (laid out last).
 #[must_use]
-pub fn select_traces(
-    program: &Program,
-    profile: &Profile,
-    config: &TraceSelectConfig,
-) -> Vec<Trace> {
+pub fn select_traces(program: &Program, profile: &Profile) -> Vec<Trace> {
     let n = program.num_blocks();
     let mut selected = vec![false; n];
 
@@ -77,7 +65,7 @@ pub fn select_traces(
 
         // Grow forward from the tail.
         loop {
-            if blocks.len() >= config.max_blocks {
+            if blocks.len() >= TRACE_MAX_BLOCKS {
                 break;
             }
             let tail = *blocks.last().expect("nonempty");
@@ -87,7 +75,7 @@ pub fn select_traces(
                 break;
             };
             if total <= 0.0
-                || w / total < config.threshold
+                || w / total < TRACE_THRESHOLD
                 || selected[succ.0 as usize]
                 || program.block(succ).func != seed_func
             {
@@ -99,7 +87,7 @@ pub fn select_traces(
 
         // Grow backward from the head.
         loop {
-            if blocks.len() >= config.max_blocks {
+            if blocks.len() >= TRACE_MAX_BLOCKS {
                 break;
             }
             let head = blocks[0];
@@ -120,7 +108,7 @@ pub fn select_traces(
             if w <= 0.0
                 || pred_total <= 0.0
                 || best_fwd != Some(head)
-                || w / pred_total < config.threshold
+                || w / pred_total < TRACE_THRESHOLD
                 || selected[pred.0 as usize]
                 || program.block(pred).func != seed_func
             {
@@ -157,7 +145,7 @@ mod tests {
     #[test]
     fn traces_partition_all_blocks() {
         let (w, p) = profiled();
-        let traces = select_traces(&w.program, &p, &TraceSelectConfig::default());
+        let traces = select_traces(&w.program, &p);
         let mut seen = vec![false; w.program.num_blocks()];
         for t in &traces {
             for &b in &t.blocks {
@@ -171,7 +159,7 @@ mod tests {
     #[test]
     fn traces_never_cross_functions() {
         let (w, p) = profiled();
-        for t in select_traces(&w.program, &p, &TraceSelectConfig::default()) {
+        for t in select_traces(&w.program, &p) {
             let func = w.program.block(t.blocks[0]).func;
             for &b in &t.blocks {
                 assert_eq!(w.program.block(b).func, func);
@@ -182,7 +170,7 @@ mod tests {
     #[test]
     fn consecutive_trace_blocks_are_cfg_successors() {
         let (w, p) = profiled();
-        for t in select_traces(&w.program, &p, &TraceSelectConfig::default()) {
+        for t in select_traces(&w.program, &p) {
             for pair in t.blocks.windows(2) {
                 let succs: Vec<_> = w
                     .program
@@ -206,7 +194,7 @@ mod tests {
     fn hot_traces_are_multi_block() {
         let w = suite::benchmark("compress").expect("known");
         let p = Profile::collect(&w, &InputId::PROFILE, 50_000);
-        let traces = select_traces(&w.program, &p, &TraceSelectConfig::default());
+        let traces = select_traces(&w.program, &p);
         let longest = traces
             .iter()
             .map(|t| t.blocks.len())
@@ -219,13 +207,28 @@ mod tests {
     }
 
     #[test]
-    fn threshold_one_yields_mostly_singletons() {
-        let (w, p) = profiled();
-        let strict = TraceSelectConfig {
-            threshold: 1.01,
-            max_blocks: 64,
-        };
-        let traces = select_traces(&w.program, &p, &strict);
-        assert!(traces.iter().all(|t| t.blocks.len() == 1));
+    fn trace_edges_meet_the_threshold_across_the_suite() {
+        for w in suite::full_suite() {
+            let name = &w.spec.name;
+            let p = Profile::collect(&w, &InputId::PROFILE, 10_000);
+            for t in select_traces(&w.program, &p) {
+                assert!(t.blocks.len() <= TRACE_MAX_BLOCKS, "{name}");
+                for pair in t.blocks.windows(2) {
+                    let edges = p.edge_weights(&w.program, pair[0]);
+                    let total: f64 = edges.iter().map(|(_, w)| w).sum();
+                    let chained: f64 = edges
+                        .iter()
+                        .filter(|(s, _)| *s == pair[1])
+                        .map(|(_, w)| w)
+                        .sum();
+                    assert!(
+                        total > 0.0 && chained / total >= TRACE_THRESHOLD,
+                        "{name}: {} -> {} has probability {chained}/{total}",
+                        pair[0],
+                        pair[1]
+                    );
+                }
+            }
+        }
     }
 }

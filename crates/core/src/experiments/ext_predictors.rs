@@ -13,7 +13,7 @@
 
 use std::fmt;
 
-use fetchmech_bpred::{GshareConfig, PredictorKind};
+use fetchmech_bpred::PredictorKind;
 use fetchmech_pipeline::MachineModel;
 use fetchmech_workloads::WorkloadClass;
 
@@ -54,7 +54,7 @@ impl ExtPredictorsRow {
 /// The predictor-extension data set (integer benchmarks).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExtPredictors {
-    /// Two rows per machine: 2-bit BTB, then gshare.
+    /// Two rows per machine: 2-bit BTB, then the tournament predictor.
     pub rows: Vec<ExtPredictorsRow>,
 }
 
@@ -64,10 +64,7 @@ impl ExtPredictors {
     /// shifter collapsing (3-cycle) — and the crossbar runs supply both the
     /// misprediction rates and the IPC mean from a single simulation each.
     pub fn run(lab: &Lab) -> Self {
-        let predictors = [
-            PredictorKind::TwoBitBtb,
-            PredictorKind::Tournament(GshareConfig::default_4k()),
-        ];
+        let predictors = [PredictorKind::TwoBitBtb, PredictorKind::Tournament];
         let cells: Vec<[Cell; 3]> = MachineModel::paper_models()
             .iter()
             .flat_map(|base| {
@@ -168,7 +165,7 @@ mod tests {
                     .expect("row")
             };
             let twobit = row(PredictorKind::TwoBitBtb);
-            let tourney = row(PredictorKind::Tournament(GshareConfig::default_4k()));
+            let tourney = row(PredictorKind::Tournament);
             assert!(
                 tourney.dir_mispredict_rate < twobit.dir_mispredict_rate,
                 "{machine}: tournament direction-miss {:.3} should beat 2-bit {:.3}",

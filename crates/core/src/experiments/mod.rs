@@ -31,7 +31,7 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use fetchmech_compiler::{layout_pad_all, reorder, Profile, Reordered, TraceSelectConfig};
+use fetchmech_compiler::{layout_pad_all, reorder, Profile, Reordered};
 use fetchmech_isa::{BlockStream, DynInst, Layout, LayoutOptions, Program};
 use fetchmech_pipeline::MachineModel;
 use fetchmech_workloads::{suite, BehaviorMap, InputId, Workload, WorkloadClass, WorkloadSpec};
@@ -539,7 +539,7 @@ impl Lab {
         self.reordered.get_or_compute(name, || {
             let profile = self.profile(name);
             let w = self.workload_arc(name);
-            Arc::new(reorder(&w.program, &profile, &TraceSelectConfig::default()))
+            Arc::new(reorder(&w.program, &profile))
         })
     }
 

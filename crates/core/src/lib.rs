@@ -59,8 +59,7 @@ pub use sim::{
     SimResult,
 };
 pub use unit::{
-    AlignedFetchUnit, BlockFetchUnit, BlockPacket, BreakdownStats, FetchConfig, FetchOutcome,
-    FetchStats,
+    AlignedFetchUnit, BlockFetchUnit, BlockPacket, BreakdownStats, FetchOutcome, FetchStats,
 };
 
 // Re-export the substrate crates under stable names so downstream users (and

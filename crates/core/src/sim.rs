@@ -33,17 +33,15 @@
 use std::collections::VecDeque;
 
 use fetchmech_analysis::CycleSanitizer;
-use fetchmech_bpred::{Btb, BtbStats};
-use fetchmech_cache::{CacheStats, ICache};
+use fetchmech_bpred::BtbStats;
+use fetchmech_cache::CacheStats;
 use fetchmech_isa::OpClass;
 use fetchmech_pipeline::{
     BlockCursor, FetchedInst, MachineModel, OooCore, StreamCore, TraceCursor,
 };
 
 use crate::scheme::SchemeKind;
-use crate::unit::{
-    AlignedFetchUnit, BlockFetchUnit, BlockPacket, FetchConfig, FetchOutcome, FetchStats,
-};
+use crate::unit::{AlignedFetchUnit, BlockFetchUnit, BlockPacket, FetchOutcome, FetchStats};
 
 /// Result of one simulation run.
 ///
@@ -94,19 +92,6 @@ impl SimResult {
     }
 }
 
-fn fetch_config(machine: &MachineModel, scheme: SchemeKind) -> FetchConfig {
-    FetchConfig {
-        scheme,
-        issue_rate: machine.issue_rate,
-        block_bytes: machine.block_bytes,
-        fetch_penalty: machine.fetch_penalty,
-        miss_penalty: machine.icache_miss_penalty,
-        spec_depth: machine.spec_depth,
-        predictor: machine.predictor,
-        ras_entries: machine.ras_entries,
-    }
-}
-
 /// Builds the per-instruction reference fetch unit for `machine` running
 /// `scheme` over `trace`.
 ///
@@ -120,24 +105,7 @@ pub fn build_fetch_unit(
     scheme: SchemeKind,
     trace: impl Into<TraceCursor>,
 ) -> AlignedFetchUnit {
-    let cfg = fetch_config(machine, scheme);
-    let icache = ICache::new(machine.cache_config(scheme.banks().max(2)));
-    let btb = Btb::new(machine.btb_config());
-    AlignedFetchUnit::new(cfg, icache, btb, trace.into())
-}
-
-/// Builds the block-stream fetch unit for `machine` running `scheme` over a
-/// run-length block stream — the fast-path counterpart of
-/// [`build_fetch_unit`], with identical cache/BTB construction.
-fn build_block_fetch_unit(
-    machine: &MachineModel,
-    scheme: SchemeKind,
-    cursor: BlockCursor,
-) -> BlockFetchUnit {
-    let cfg = fetch_config(machine, scheme);
-    let icache = ICache::new(machine.cache_config(scheme.banks().max(2)));
-    let btb = Btb::new(machine.btb_config());
-    BlockFetchUnit::new(cfg, icache, btb, cursor)
+    AlignedFetchUnit::new(machine, scheme, trace.into())
 }
 
 /// Runs `source` through `machine` with the given fetch `scheme` until every
@@ -278,9 +246,6 @@ pub(crate) fn simulate_observed(
             }
             dispatched += 1;
         }
-        if !queue.is_empty() && dispatched == 0 {
-            core.note_window_full();
-        }
         if let Some(s) = san.as_deref_mut() {
             s.observe_core_state(cycle, core.audit_invariants());
         }
@@ -357,7 +322,7 @@ fn simulate_blocks_fast(
     cursor: BlockCursor,
 ) -> SimResult {
     let stream = cursor.shared();
-    let mut fetch = build_block_fetch_unit(machine, scheme, cursor);
+    let mut fetch = BlockFetchUnit::new(machine, scheme, cursor);
     let mut core = StreamCore::new(machine.ooo_config());
     let issue_rate = machine.issue_rate;
 
@@ -626,7 +591,7 @@ fn measure_eir_blocks_fast(
     scheme: SchemeKind,
     cursor: BlockCursor,
 ) -> EirResult {
-    let mut fetch = build_block_fetch_unit(machine, scheme, cursor);
+    let mut fetch = BlockFetchUnit::new(machine, scheme, cursor);
     let mut pkt = BlockPacket::default();
     let mut cycle: u64 = 0;
     loop {

@@ -29,35 +29,12 @@
 //! reports resolution; the bad-path fetch itself is not simulated (its cost
 //! is the stall, exactly the paper's penalty model).
 
-use fetchmech_bpred::{Btb, Gshare, PredictorKind, Tournament};
+use fetchmech_bpred::{Btb, PredictorKind, Tournament};
 use fetchmech_cache::ICache;
 use fetchmech_isa::{Addr, DynInst, OpClass};
-use fetchmech_pipeline::{BlockCursor, FetchPacket, FetchedInst, TraceCursor};
+use fetchmech_pipeline::{BlockCursor, FetchPacket, FetchedInst, MachineModel, TraceCursor};
 
 use crate::scheme::SchemeKind;
-
-/// Static configuration of a fetch unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FetchConfig {
-    /// Which alignment scheme to model.
-    pub scheme: SchemeKind,
-    /// Maximum instructions delivered per cycle.
-    pub issue_rate: u32,
-    /// Cache-block size in bytes.
-    pub block_bytes: u64,
-    /// Fetch-pipeline misprediction penalty in cycles (2 for the crossbar
-    /// collapsing buffer and all other schemes; 3 models the shifter
-    /// implementation of Figure 11).
-    pub fetch_penalty: u32,
-    /// Instruction-cache miss penalty in cycles.
-    pub miss_penalty: u32,
-    /// Maximum unresolved predicted conditional branches fetch may run past.
-    pub spec_depth: u32,
-    /// Direction predictor for conditional branches.
-    pub predictor: PredictorKind,
-    /// Return-address-stack entries (0 disables the RAS).
-    pub ras_entries: u32,
-}
 
 /// Why packets ended, for analysis (sums to the packet count).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -146,8 +123,6 @@ enum Step {
 enum DirPredictor {
     /// The paper's baseline: directions from the BTB's own 2-bit counters.
     BtbCounters,
-    /// A gshare two-level predictor.
-    Gshare(Gshare),
     /// McFarling's combining predictor.
     Tournament(Tournament),
 }
@@ -179,7 +154,8 @@ struct Region {
 /// entire statistics blocks stay bit-identical.
 #[derive(Debug)]
 struct FrontEnd {
-    cfg: FetchConfig,
+    machine: MachineModel,
+    scheme: SchemeKind,
     icache: ICache,
     btb: Btb,
     /// Earliest cycle at which the unit may deliver again (miss or redirect).
@@ -196,16 +172,17 @@ struct FrontEnd {
 }
 
 impl FrontEnd {
-    fn new(cfg: FetchConfig, icache: ICache, btb: Btb) -> Self {
-        let dir = match cfg.predictor {
+    /// Fresh cache, BTB and predictor state for `machine` running `scheme`.
+    fn new(machine: &MachineModel, scheme: SchemeKind) -> Self {
+        let dir = match machine.predictor {
             PredictorKind::TwoBitBtb => DirPredictor::BtbCounters,
-            PredictorKind::Gshare(gcfg) => DirPredictor::Gshare(Gshare::new(gcfg)),
-            PredictorKind::Tournament(gcfg) => DirPredictor::Tournament(Tournament::new(gcfg)),
+            PredictorKind::Tournament => DirPredictor::Tournament(Tournament::new()),
         };
         Self {
-            cfg,
-            icache,
-            btb,
+            machine: machine.clone(),
+            scheme,
+            icache: ICache::new(machine.cache_config(scheme.banks().max(2))),
+            btb: Btb::new(machine.btb_entries),
             dir,
             ras: Vec::new(),
             resume_at: 0,
@@ -230,7 +207,7 @@ impl FrontEnd {
         fetch_block: Addr,
         peek: &mut impl FnMut(usize) -> Option<&'a DynInst>,
     ) -> Addr {
-        let bs = self.cfg.block_bytes;
+        let bs = self.machine.block_bytes;
         let mut i = 0usize;
         loop {
             let Some(inst) = peek(i) else {
@@ -242,7 +219,7 @@ impl FrontEnd {
             if let Some(ctrl) = inst.ctrl {
                 let is_cond = inst.op == OpClass::CondBranch;
                 let pred = self.btb.peek(inst.addr, is_cond);
-                if inst.op == OpClass::Return && self.cfg.ras_entries > 0 {
+                if inst.op == OpClass::Return && self.machine.ras_entries > 0 {
                     if let Some(&rt) = self.ras.last() {
                         return rt.block_base(bs);
                     }
@@ -250,7 +227,6 @@ impl FrontEnd {
                 let taken_pred = if is_cond {
                     match &self.dir {
                         DirPredictor::BtbCounters => pred.taken,
-                        DirPredictor::Gshare(g) => g.predict(inst.addr) && pred.hit,
                         DirPredictor::Tournament(t) => t.predict(inst.addr) && pred.hit,
                     }
                 } else {
@@ -268,7 +244,7 @@ impl FrontEnd {
                 let _ = ctrl;
             }
             i += 1;
-            if i as u32 > self.cfg.issue_rate * 2 {
+            if i as u32 > self.machine.issue_rate * 2 {
                 return fetch_block.add_words(bs / fetchmech_isa::WORD_BYTES);
             }
         }
@@ -282,10 +258,10 @@ impl FrontEnd {
         let pred = self.btb.predict(inst.addr, is_cond);
         // Return-address stack: calls push their link address; returns pop
         // their predicted target, overriding the BTB.
-        let ras_on = self.cfg.ras_entries > 0;
+        let ras_on = self.machine.ras_entries > 0;
         if ras_on && inst.op == OpClass::Call {
             if let Some(link) = ctrl.link {
-                if self.ras.len() as u32 >= self.cfg.ras_entries {
+                if self.ras.len() as u32 >= self.machine.ras_entries {
                     self.ras.remove(0);
                 }
                 self.ras.push(link);
@@ -310,7 +286,6 @@ impl FrontEnd {
         } else if is_cond {
             let dir = match &self.dir {
                 DirPredictor::BtbCounters => pred.taken,
-                DirPredictor::Gshare(g) => g.predict(inst.addr) && pred.hit,
                 DirPredictor::Tournament(t) => t.predict(inst.addr) && pred.hit,
             };
             (dir, pred.target)
@@ -337,7 +312,6 @@ impl FrontEnd {
         if is_cond {
             match &mut self.dir {
                 DirPredictor::BtbCounters => {}
-                DirPredictor::Gshare(g) => g.update(inst.addr, ctrl.taken),
                 DirPredictor::Tournament(t) => t.update(inst.addr, ctrl.taken),
             }
         }
@@ -357,14 +331,14 @@ impl FrontEnd {
         pc: Addr,
         mut peek: impl FnMut(usize) -> Option<&'a DynInst>,
     ) -> Option<Region> {
-        let scheme = self.cfg.scheme;
-        let bs = self.cfg.block_bytes;
+        let scheme = self.scheme;
+        let bs = self.machine.block_bytes;
         let fetch_block = pc.block_base(bs);
 
         // Demand access for the fetch block (perfect accesses lazily in
         // `admit`, but its first block is a demand access too).
         if !self.icache.access(fetch_block).is_hit() {
-            self.resume_at = cycle + u64::from(self.cfg.miss_penalty);
+            self.resume_at = cycle + u64::from(self.machine.icache_miss_penalty);
             self.stats.miss_stall_cycles += 1;
             return None;
         }
@@ -423,7 +397,7 @@ impl FrontEnd {
     /// rejection. Idempotent for consecutive instructions in one block,
     /// which is what lets the block-stream walk admit whole spans at once.
     fn admit(&mut self, region: &mut Region, blk: Addr, ended: &mut Option<Break>) -> bool {
-        match self.cfg.scheme {
+        match self.scheme {
             SchemeKind::Perfect => {
                 // Unlimited alignment and bandwidth: further blocks are
                 // accessed as the packet grows; a miss ends the packet
@@ -441,7 +415,8 @@ impl FrontEnd {
                                                    // demand fetch lands on a cold block and perfect
                                                    // stalls where the one-pair-per-cycle schemes,
                                                    // whose partner prefetch keeps pace, would not.
-                        let next = blk.add_words(self.cfg.block_bytes / fetchmech_isa::WORD_BYTES);
+                        let next =
+                            blk.add_words(self.machine.block_bytes / fetchmech_isa::WORD_BYTES);
                         let _ = self.icache.access(next);
                         true
                     } else {
@@ -469,9 +444,9 @@ impl FrontEnd {
     /// Continuation decision at a correctly-predicted taken branch: may the
     /// scheme keep delivering at the target within this same cycle?
     fn taken_step(&mut self, region: &mut Region, inst_addr: Addr, target: Addr) -> Step {
-        let bs = self.cfg.block_bytes;
+        let bs = self.machine.block_bytes;
         let tblk = target.block_base(bs);
-        match self.cfg.scheme {
+        match self.scheme {
             SchemeKind::Perfect => Step::Take,
             SchemeKind::Sequential | SchemeKind::InterleavedSequential => {
                 Step::TakeAndBreak(Break::AtTaken)
@@ -534,7 +509,7 @@ impl FrontEnd {
             "resolution without an outstanding mispredict"
         );
         self.waiting_resolve = false;
-        self.resume_at = cycle + u64::from(self.cfg.fetch_penalty);
+        self.resume_at = cycle + u64::from(self.machine.fetch_penalty);
     }
 }
 
@@ -549,9 +524,9 @@ pub struct AlignedFetchUnit {
 impl AlignedFetchUnit {
     /// Creates a fetch unit over `trace` with fresh cache and BTB state.
     #[must_use]
-    pub(crate) fn new(cfg: FetchConfig, icache: ICache, btb: Btb, trace: TraceCursor) -> Self {
+    pub(crate) fn new(machine: &MachineModel, scheme: SchemeKind, trace: TraceCursor) -> Self {
         Self {
-            fe: FrontEnd::new(cfg, icache, btb),
+            fe: FrontEnd::new(machine, scheme),
             cursor: trace,
         }
     }
@@ -602,7 +577,7 @@ impl AlignedFetchUnit {
         let Some(&first) = self.cursor.peek(0) else {
             return FetchPacket::empty();
         };
-        let bs = self.fe.cfg.block_bytes;
+        let bs = self.fe.machine.block_bytes;
         let cursor = &self.cursor;
         let Some(mut region) = self.fe.open_region(cycle, first.addr, |i| cursor.peek(i)) else {
             return FetchPacket::empty();
@@ -618,14 +593,14 @@ impl AlignedFetchUnit {
                 self.fe.stats.breaks.trace_end += u64::from(n > 0);
                 break;
             };
-            if n as u32 >= self.fe.cfg.issue_rate {
+            if n as u32 >= self.fe.machine.issue_rate {
                 ended = Some(Break::Bandwidth);
                 break;
             }
             // Speculation depth: no instruction may be fetched once the
             // unresolved-branch count (older in-flight + in this packet)
             // exceeds the machine's limit.
-            if unresolved_branches + conds_in_packet > self.fe.cfg.spec_depth {
+            if unresolved_branches + conds_in_packet > self.fe.machine.spec_depth {
                 ended = Some(Break::SpecLimit);
                 break;
             }
@@ -783,9 +758,9 @@ impl BlockFetchUnit {
     /// Creates a fetch unit over a block stream with fresh cache and BTB
     /// state.
     #[must_use]
-    pub(crate) fn new(cfg: FetchConfig, icache: ICache, btb: Btb, cursor: BlockCursor) -> Self {
+    pub(crate) fn new(machine: &MachineModel, scheme: SchemeKind, cursor: BlockCursor) -> Self {
         Self {
-            fe: FrontEnd::new(cfg, icache, btb),
+            fe: FrontEnd::new(machine, scheme),
             cursor,
         }
     }
@@ -861,9 +836,9 @@ impl BlockFetchUnit {
         if rec >= records.len() {
             return FetchOutcome::Done;
         }
-        let bs = self.fe.cfg.block_bytes;
-        let issue_rate = self.fe.cfg.issue_rate;
-        let spec_depth = self.fe.cfg.spec_depth;
+        let bs = self.fe.machine.block_bytes;
+        let issue_rate = self.fe.machine.issue_rate;
+        let spec_depth = self.fe.machine.spec_depth;
         let first_addr = stream.template(records[rec]).insts()[off].addr;
         // `open_region` peeks at monotonically increasing offsets, so one
         // incremental walk over the stream serves every peek.
@@ -1007,26 +982,10 @@ impl BlockFetchUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fetchmech_bpred::BtbConfig;
-    use fetchmech_cache::CacheConfig;
     use fetchmech_isa::DynCtrl;
 
-    const BS: u64 = 16; // 4 instructions per block
-
     fn unit(scheme: SchemeKind, trace: Vec<DynInst>) -> AlignedFetchUnit {
-        let cfg = FetchConfig {
-            scheme,
-            issue_rate: 4,
-            block_bytes: BS,
-            fetch_penalty: 2,
-            miss_penalty: 10,
-            spec_depth: 2,
-            predictor: PredictorKind::TwoBitBtb,
-            ras_entries: 0,
-        };
-        let icache = ICache::new(CacheConfig::new(32 * 1024, BS, 2));
-        let btb = Btb::new(BtbConfig::default());
-        AlignedFetchUnit::new(cfg, icache, btb, TraceCursor::new(trace))
+        AlignedFetchUnit::new(&MachineModel::p14(), scheme, TraceCursor::new(trace))
     }
 
     fn alu(addr: u64) -> DynInst {
@@ -1374,25 +1333,12 @@ mod tests {
     /// cache state, and BTB state stay identical, cycle by cycle.
     fn assert_units_match(scheme: SchemeKind, trace: Vec<DynInst>) {
         use fetchmech_isa::BlockStream;
-        let cfg = FetchConfig {
-            scheme,
-            issue_rate: 4,
-            block_bytes: BS,
-            fetch_penalty: 2,
-            miss_penalty: 10,
-            spec_depth: 2,
-            predictor: PredictorKind::TwoBitBtb,
-            ras_entries: 4,
-        };
-        let make_cache = || ICache::new(CacheConfig::new(32 * 1024, BS, 2));
-        let make_btb = || Btb::new(BtbConfig::default());
+        let machine = MachineModel::p14().with_ras(4);
         let stream = std::sync::Arc::new(BlockStream::from_insts(&trace));
-        let mut oracle =
-            AlignedFetchUnit::new(cfg, make_cache(), make_btb(), TraceCursor::new(trace));
+        let mut oracle = AlignedFetchUnit::new(&machine, scheme, TraceCursor::new(trace));
         let mut fast = BlockFetchUnit::new(
-            cfg,
-            make_cache(),
-            make_btb(),
+            &machine,
+            scheme,
             BlockCursor::new(std::sync::Arc::clone(&stream)),
         );
         let mut pkt = BlockPacket::default();
@@ -1467,26 +1413,14 @@ mod tests {
 #[cfg(test)]
 mod predictor_tests {
     use super::*;
-    use fetchmech_bpred::{BtbConfig, GshareConfig};
-    use fetchmech_cache::CacheConfig;
     use fetchmech_isa::DynCtrl;
 
-    const BS: u64 = 16;
-
     fn unit_with(predictor: PredictorKind, ras: u32, trace: Vec<DynInst>) -> AlignedFetchUnit {
-        let cfg = FetchConfig {
-            scheme: SchemeKind::Perfect,
-            issue_rate: 4,
-            block_bytes: BS,
-            fetch_penalty: 2,
-            miss_penalty: 10,
+        let machine = MachineModel {
             spec_depth: 8,
-            predictor,
-            ras_entries: ras,
+            ..MachineModel::p14().with_predictor(predictor).with_ras(ras)
         };
-        let icache = ICache::new(CacheConfig::new(32 * 1024, BS, 2));
-        let btb = Btb::new(BtbConfig::default());
-        AlignedFetchUnit::new(cfg, icache, btb, TraceCursor::new(trace))
+        AlignedFetchUnit::new(&machine, SchemeKind::Perfect, TraceCursor::new(trace))
     }
 
     fn br(addr: u64, taken: bool, target: u64) -> DynInst {
@@ -1529,11 +1463,7 @@ mod predictor_tests {
             .map(|i| br(0x1000, i % 2 == 0, 0x1000 + 64))
             .collect();
         let twobit = drain_stats(unit_with(PredictorKind::TwoBitBtb, 0, trace.clone()));
-        let tourney = drain_stats(unit_with(
-            PredictorKind::Tournament(GshareConfig::default_4k()),
-            0,
-            trace,
-        ));
+        let tourney = drain_stats(unit_with(PredictorKind::Tournament, 0, trace));
         assert!(
             tourney.cond_dir_mispredicts * 3 < twobit.cond_dir_mispredicts,
             "tournament {} vs 2-bit {} direction misses on an alternating branch",

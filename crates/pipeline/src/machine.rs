@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use fetchmech_bpred::{BtbConfig, PredictorKind};
+use fetchmech_bpred::PredictorKind;
 use fetchmech_cache::CacheConfig;
 
 use crate::ooo::OooConfig;
@@ -47,8 +47,8 @@ pub struct MachineModel {
     pub icache_miss_penalty: u32,
     /// Direction predictor for conditional branches (targets always come
     /// from the BTB). The paper's machines use [`PredictorKind::TwoBitBtb`];
-    /// the gshare option implements the concluding remarks' "more
-    /// sophisticated predictor" study.
+    /// [`PredictorKind::Tournament`] implements the concluding remarks'
+    /// "more sophisticated predictor" study.
     pub predictor: PredictorKind,
     /// Return-address-stack entries; `0` (the paper's machines) disables it
     /// and returns are predicted through the BTB like any other transfer.
@@ -148,16 +148,6 @@ impl MachineModel {
     #[must_use]
     pub fn cache_config(&self, banks: u32) -> CacheConfig {
         CacheConfig::new(self.icache_bytes, self.block_bytes, banks)
-    }
-
-    /// The BTB configuration: `btb_entries` entries (1024 in the paper's
-    /// machines), 2-bit counters.
-    #[must_use]
-    pub fn btb_config(&self) -> BtbConfig {
-        BtbConfig {
-            entries: self.btb_entries,
-            counter_bits: 2,
-        }
     }
 
     /// Number of cache blocks a run of `insts` instructions starting at
@@ -270,9 +260,9 @@ mod tests {
 
     #[test]
     fn btb_is_paper_config() {
-        let c = MachineModel::p18().btb_config();
-        assert_eq!(c.entries, 1024);
-        assert_eq!(c.counter_bits, 2);
+        for m in MachineModel::paper_models() {
+            assert_eq!(m.btb_entries, 1024, "{}", m.name);
+        }
     }
 
     #[test]

@@ -82,8 +82,6 @@ pub struct OooStats {
     pub retired: u64,
     /// Instructions dispatched.
     pub dispatched: u64,
-    /// Cycles in which the window was full at dispatch time.
-    pub window_full_cycles: u64,
 }
 
 /// The out-of-order core. Drive it with, per cycle:
@@ -247,11 +245,6 @@ impl OooCore {
         self.window_used += 1;
         self.stats.dispatched += 1;
         seq
-    }
-
-    /// Records that dispatch was blocked this cycle (for statistics).
-    pub fn note_window_full(&mut self) {
-        self.stats.window_full_cycles += 1;
     }
 
     /// Audits the core's internal bookkeeping against its ground truth — the

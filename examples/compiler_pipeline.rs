@@ -6,7 +6,7 @@
 //! cargo run --release --example compiler_pipeline [benchmark]
 //! ```
 
-use fetchmech::compiler::{reorder, Profile, TraceSelectConfig};
+use fetchmech::compiler::{reorder, Profile};
 use fetchmech::isa::{Layout, LayoutOptions};
 use fetchmech::pipeline::MachineModel;
 use fetchmech::workloads::{suite, InputId, Workload};
@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 2. Trace selection + layout with branch-sense inversion.
-    let reordered = reorder(&bench.program, &profile, &TraceSelectConfig::default());
+    let reordered = reorder(&bench.program, &profile);
     println!(
         "reordered: {} blocks, {} traces, {} branch senses inverted",
         bench.program.num_blocks(),

@@ -97,8 +97,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use fetchmech::compiler::{
-    build_ssa, optimize, select_traces, OptimizeConfig, Optimized, PassEdit, PassKind, Profile,
-    TraceSelectConfig,
+    build_ssa, optimize, select_traces, Optimized, PassEdit, PassKind, Profile,
 };
 use fetchmech::experiments::{ExpConfig, Lab, LayoutVariant};
 use fetchmech::isa::{BlockId, CfgView, Inst, Layout, LayoutOptions};
@@ -368,7 +367,6 @@ fn lint_benchmark(
     let name = resolve(lab, name)?;
     let w = lab.bench(name);
     let profile = lab.profile(name);
-    let config = TraceSelectConfig::default();
     let reordered = lab.reordered(name);
     // Each variant's layout with the program it lays out, and the block
     // stream the simulator runs on it.
@@ -386,7 +384,6 @@ fn lint_benchmark(
         Target::Profile {
             program: &w.program,
             profile: &profile,
-            config: Some(&config),
         },
         Target::Traces {
             program: &w.program,
@@ -537,7 +534,6 @@ fn analyze_benchmark(
 ) -> Result<AnalyzeReport, String> {
     let name = resolve(lab, name)?;
     let block_bytes = opts.common.machine.block_bytes;
-    let config = TraceSelectConfig::default();
     // The program the chosen layout lays out (the reordered one for the
     // reordered variants), plus the profile the `reach` lints check.
     let exec = lab.workload(name, opts.layout);
@@ -573,7 +569,7 @@ fn analyze_benchmark(
         dataflow::check_unreachable(program, &mut sink);
         if let Some(profile) = &profile {
             dataflow::check_profile_reachability(program, profile, &mut sink);
-            let traces = select_traces(program, profile, &config);
+            let traces = select_traces(program, profile);
             dataflow::check_trace_seeds(program, &traces, &mut sink);
         }
     }
@@ -933,12 +929,7 @@ fn opt_benchmark(name: &str, lab: &Lab, opts: &OptOptions) -> Result<AnalyzeRepo
     let name = resolve(lab, name)?;
     let w = lab.bench(name);
     let profile = lab.profile(name);
-    let optimized = optimize(
-        &w.program,
-        &profile,
-        &opts.passes,
-        &OptimizeConfig::default(),
-    );
+    let optimized = optimize(&w.program, &profile, &opts.passes);
     // Re-profile the *optimized* program (branch behaviors aliased back to
     // their origins) so duplicated paths get their true original/copy flow
     // split instead of the projected double-count. The lab does not hold
@@ -1047,12 +1038,7 @@ fn opt_self_test() -> ExitCode {
     let lab = cli_lab(20_000, Runner::new(1));
     let w = lab.bench("compress");
     let profile = lab.profile("compress");
-    let mut optimized = optimize(
-        &w.program,
-        &profile,
-        &PassKind::ALL,
-        &OptimizeConfig::default(),
-    );
+    let mut optimized = optimize(&w.program, &profile, &PassKind::ALL);
     let app = optimized
         .applications
         .first_mut()
@@ -1305,7 +1291,6 @@ fn frontend_file(path: &str, opts: &FrontendOptions) -> Result<AnalyzeReport, St
         Target::Profile {
             program: &w.program,
             profile: &profile,
-            config: None,
         },
     ];
     for target in &targets {
@@ -1315,12 +1300,7 @@ fn frontend_file(path: &str, opts: &FrontendOptions) -> Result<AnalyzeReport, St
     if opts.verify {
         // Full opt pipeline under translation validation, then one
         // simulation per fetch scheme over the lowered program.
-        let optimized = optimize(
-            &w.program,
-            &profile,
-            &PassKind::ALL,
-            &OptimizeConfig::default(),
-        );
+        let optimized = optimize(&w.program, &profile, &PassKind::ALL);
         diags.extend(verify_optimized(
             &w,
             &profile,

@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use fetchmech::compiler::{optimize, OptimizeConfig, PassKind, Profile};
+use fetchmech::compiler::{optimize, PassKind, Profile};
 use fetchmech::isa::{Layout, LayoutOptions, OpClass};
 use fetchmech::pipeline::MachineModel;
 use fetchmech::workloads::{InputId, Workload, WorkloadSpec};
@@ -118,7 +118,7 @@ fn example_profiles_conserve_flow() {
     for (name, format, src) in EXAMPLES {
         let w = workload(name, format, src);
         let profile = Profile::collect(&w, &InputId::PROFILE, INSTS);
-        let diags = verify_profile(&w.program, &profile, None);
+        let diags = verify_profile(&w.program, &profile);
         assert!(
             !has_errors(&diags),
             "{name}: profile fails flow conservation: {diags:?}"
@@ -131,12 +131,7 @@ fn examples_survive_the_full_optimizer_with_translation_validation() {
     for (name, format, src) in EXAMPLES {
         let w = workload(name, format, src);
         let profile = Profile::collect(&w, &InputId::PROFILE, INSTS);
-        let optimized = optimize(
-            &w.program,
-            &profile,
-            &PassKind::ALL,
-            &OptimizeConfig::default(),
-        );
+        let optimized = optimize(&w.program, &profile, &PassKind::ALL);
         let diags = verify_optimized(&w, &profile, &optimized, INSTS);
         assert!(
             !has_errors(&diags),
@@ -279,7 +274,7 @@ fn lowered_programs_produce_no_error_severity_diagnostics_anywhere() {
         let profile = Profile::collect(&w, &InputId::PROFILE, INSTS);
         let mut diags = verify_program(&w.program);
         diags.extend(fetchmech_analysis::verify_layout(&w.program, &layout));
-        diags.extend(verify_profile(&w.program, &profile, None));
+        diags.extend(verify_profile(&w.program, &profile));
         let errors: Vec<_> = diags
             .iter()
             .filter(|d| d.severity == Severity::Error)

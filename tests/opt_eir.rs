@@ -3,7 +3,7 @@
 //! suite workloads, and the prediction must stay honest — measured EIR on
 //! the optimized layout never exceeds the static analyzer's bound.
 
-use fetchmech::compiler::{optimize, OptimizeConfig, PassKind, Profile};
+use fetchmech::compiler::{optimize, PassKind, Profile};
 use fetchmech::isa::{Layout, LayoutOptions};
 use fetchmech::pipeline::MachineModel;
 use fetchmech::workloads::{suite, InputId, Workload};
@@ -20,7 +20,6 @@ fn optimize_for(name: &str, machine: &MachineModel) -> (Workload, fetchmech_anal
         &w.program,
         &profile,
         &[PassKind::Superblock, PassKind::Straighten],
-        &OptimizeConfig::default(),
     );
     let w_after = Workload {
         spec: w.spec.clone(),

@@ -152,10 +152,10 @@ proptest! {
     /// body-instruction stream is unchanged.
     #[test]
     fn reordering_preserves_semantics_on_random_workloads(spec in arb_spec()) {
-        use fetchmech::compiler::{reorder, Profile, TraceSelectConfig};
+        use fetchmech::compiler::{reorder, Profile};
         let w = Workload::generate(spec);
         let profile = Profile::collect(&w, &[InputId(0), InputId(1)], 3_000);
-        let r = reorder(&w.program, &profile, &TraceSelectConfig::default());
+        let r = reorder(&w.program, &profile);
         let natural = Layout::natural(&w.program, LayoutOptions::new(16)).expect("layout");
         let optimized = r.layout(16).expect("layout");
         let rw = Workload {
