@@ -171,6 +171,10 @@ echo "==> differential oracle in release (optimized fast path vs per-instruction
 # The debug test stage compares the two simulators too, but only the release
 # build compiles the fast path the way users run it (inlined across crates).
 cargo test --release -q -p fetchmech --test block_stream_oracle --test block_stream_props
+# The shipped trace generator against the per-instruction executor it is
+# checked by (suite-wide, random CFGs, aliased behaviour maps); the executor
+# exists only in this crate's test build.
+cargo test --release -q -p fetchmech-workloads --lib
 # The shipped core against the reference core, cycle by cycle (the lockstep
 # test), in the same optimized build.
 cargo test --release -q -p fetchmech-pipeline --lib

@@ -148,7 +148,7 @@ pub(crate) fn check_profile(program: &Program, profile: &Profile, sink: &mut Dia
     // Outflow attribution: conditional branches split by taken/not-taken
     // counts; calls flow into both the callee entry (the call) and the
     // return block (the eventual return); halts flow into the program entry
-    // (the executor's restart semantics).
+    // (the trace generator's restart semantics).
     let n = program.num_blocks();
     // Blocks that emit no instructions on the natural profiling layout
     // (empty body, elided fall-through/jump) are invisible to the counter:

@@ -36,7 +36,7 @@
 //! buffer, and no constraint for perfect.
 
 use fetchmech_isa::{Addr, BlockId, Layout, OpClass, Program};
-use fetchmech_pipeline::{MachineModel, SchemeKind};
+use fetchmech_pipeline::{MachineModel, SchemeKind, ICACHE_BANKS};
 
 /// Static geometry of one basic block's laid-out footprint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,7 +133,7 @@ impl Analyzer<'_> {
     }
 
     fn bank_of(&self, block: Addr) -> u64 {
-        block.block_index(self.bs()) % u64::from(self.scheme.banks().max(2))
+        block.block_index(self.bs()) % u64::from(ICACHE_BANKS)
     }
 
     /// Largest packet the scheme could deliver in one cycle starting at

@@ -914,7 +914,8 @@ type SitedInst = (BlockId, usize, ProjectedInst);
 
 fn collect_stream(workload: &Workload, layout: &Layout, insts: u64) -> Vec<SitedInst> {
     workload
-        .executor(layout, InputId::TEST, insts)
+        .block_stream(layout, InputId::TEST, insts)
+        .iter()
         .filter_map(|i| {
             if i.ctrl.is_some() || i.op == OpClass::Nop {
                 return None;

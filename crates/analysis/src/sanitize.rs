@@ -196,6 +196,11 @@ impl SanitizeConfig {
     }
 }
 
+/// Instruction-cache banks (`block_index % BANKS` is the bank map). Stated
+/// here rather than imported from the simulator, so a wrong simulator bank
+/// count shows up as bank conflicts.
+const BANKS: u32 = 2;
+
 /// The machine parameters the sanitizer replays delivery rules against.
 ///
 /// Kept apart from the simulator's `MachineModel`, the fetch unit's only
@@ -209,8 +214,6 @@ pub struct FetchEnv {
     pub issue_rate: u32,
     /// Cache-block size in bytes.
     pub block_bytes: u64,
-    /// Number of cache banks (`block_index % banks` is the bank map).
-    pub banks: u32,
     /// Branch-speculation depth limit.
     pub spec_depth: u32,
     /// Cycles between mispredict resolution and the earliest redelivery.
@@ -300,7 +303,7 @@ impl CycleSanitizer {
     }
 
     fn bank_of(&self, block: Addr) -> u32 {
-        (block.block_index(self.env.block_bytes) % u64::from(self.env.banks.max(1))) as u32
+        (block.block_index(self.env.block_bytes) % u64::from(BANKS)) as u32
     }
 
     /// Observes one fetch-unit cycle. Must be called for *every* call the
@@ -909,7 +912,6 @@ pub fn self_test() -> Vec<Diagnostic> {
         scheme,
         issue_rate: 4,
         block_bytes: 16,
-        banks: 2,
         spec_depth: 4,
         fetch_penalty: 2,
         track_issue: false,
@@ -1040,7 +1042,6 @@ mod tests {
             scheme: SchemeKind::Perfect,
             issue_rate: 1,
             block_bytes: 16,
-            banks: 2,
             spec_depth: 8,
             fetch_penalty: 2,
             track_issue: false,

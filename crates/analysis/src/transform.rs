@@ -415,7 +415,8 @@ pub(crate) fn check_trace_diff(
     // Project away addresses, control, and padding: what must survive the
     // transform is the computation, not the placement.
     let project = |w: &Workload, l: &Layout| -> Vec<(OpClass, _, _)> {
-        w.executor(l, InputId::TEST, insts)
+        w.block_stream(l, InputId::TEST, insts)
+            .iter()
             .filter(|i| i.ctrl.is_none() && i.op != OpClass::Nop)
             .map(|i| (i.op, i.dest, i.srcs))
             .collect()

@@ -54,7 +54,7 @@ proptest! {
         let reach = reachability(&w.program);
 
         let mut visited: HashSet<u32> = HashSet::new();
-        for d in w.executor(&layout, InputId::TEST, TRACE_LEN) {
+        for d in w.block_stream(&layout, InputId::TEST, TRACE_LEN).iter() {
             let idx = layout.index_of(d.addr).expect("executed addr is laid");
             visited.insert(layout.code()[idx].block.0);
         }
@@ -93,7 +93,7 @@ proptest! {
         // Walk the execution: reads happen before the writing inst's own
         // def, so check srcs first, then update the per-register flag.
         let mut last_write_flagged = [false; 64];
-        for d in w.executor(&layout, InputId::TEST, TRACE_LEN) {
+        for d in w.block_stream(&layout, InputId::TEST, TRACE_LEN).iter() {
             for src in d.srcs.iter().flatten() {
                 prop_assert!(
                     !last_write_flagged[src.file_index()],

@@ -53,7 +53,7 @@ fn branch_path(
         }
     }
     let mut path = Vec::new();
-    for d in w.executor(&layout, InputId::TEST, insts) {
+    for d in w.block_stream(&layout, InputId::TEST, insts).iter() {
         let laid = layout
             .inst_at(d.addr)
             .expect("trace address maps to layout");

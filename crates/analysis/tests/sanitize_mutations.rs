@@ -25,7 +25,6 @@ fn env(scheme: SchemeKind, track_issue: bool) -> FetchEnv {
         scheme,
         issue_rate: 4,
         block_bytes: 16,
-        banks: 2,
         spec_depth: 4,
         fetch_penalty: 2,
         track_issue,

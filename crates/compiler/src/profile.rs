@@ -38,19 +38,27 @@ impl Profile {
             total: vec![0; program.num_branches() as usize],
         };
         for &input in inputs {
-            for inst in workload.executor(&layout, input, insts_per_input) {
-                let laid = layout
-                    .inst_at(inst.addr)
-                    .expect("trace address maps to layout");
-                // Count block entries at the block's first instruction.
-                if layout.block_addr(laid.block) == inst.addr {
-                    profile.block_count[laid.block.0 as usize] += 1;
-                }
-                if inst.op == OpClass::CondBranch {
-                    let id = laid.ctrl.and_then(|c| c.branch_id).expect("branch id");
-                    profile.total[id.0 as usize] += 1;
-                    if inst.ctrl.expect("branch ctrl").taken {
-                        profile.taken[id.0 as usize] += 1;
+            let stream = workload.block_stream(&layout, input, insts_per_input);
+            // Each template's instructions count once per record naming it.
+            let mut uses = vec![0u64; stream.templates().len()];
+            for &id in stream.records() {
+                uses[id as usize] += 1;
+            }
+            for (template, &n) in stream.templates().iter().zip(&uses) {
+                for inst in template.insts() {
+                    let laid = layout
+                        .inst_at(inst.addr)
+                        .expect("trace address maps to layout");
+                    // Count block entries at the block's first instruction.
+                    if layout.block_addr(laid.block) == inst.addr {
+                        profile.block_count[laid.block.0 as usize] += n;
+                    }
+                    if inst.op == OpClass::CondBranch {
+                        let id = laid.ctrl.and_then(|c| c.branch_id).expect("branch id");
+                        profile.total[id.0 as usize] += n;
+                        if inst.ctrl.expect("branch ctrl").taken {
+                            profile.taken[id.0 as usize] += n;
+                        }
                     }
                 }
             }
@@ -62,7 +70,7 @@ impl Profile {
     /// Builds a profile from raw per-block and per-branch count vectors.
     ///
     /// Intended for tests that need to construct (or deliberately corrupt)
-    /// profiles without running an executor; a profile of a derived program
+    /// profiles without generating a trace; a profile of a derived program
     /// comes from [`Profile::project`]. `taken`
     /// and `total` must have equal length; dimensions against any particular
     /// program are *not* checked here — that is the analysis layer's job.

@@ -130,7 +130,8 @@ mod tests {
             behaviors: w.behaviors.clone(),
         };
         let project = |w: &Workload, l: &Layout| -> Vec<_> {
-            w.executor(l, InputId::TEST, 40_000)
+            w.block_stream(l, InputId::TEST, 40_000)
+                .iter()
                 .filter(|i| i.ctrl.is_none() && i.op != OpClass::Nop)
                 .map(|i| (i.op, i.dest, i.srcs))
                 .collect()
@@ -156,8 +157,8 @@ mod tests {
             let rate = |w: &Workload, l: &Layout| {
                 let mut stats = TraceStats::new();
                 let mut useful = 0u64;
-                for i in w.executor(l, InputId::TEST, 60_000) {
-                    stats.observe(&i, 16);
+                for i in w.block_stream(l, InputId::TEST, 60_000).iter() {
+                    stats.observe(i, 16);
                     useful += u64::from(i.ctrl.is_none() && i.op != OpClass::Nop);
                 }
                 stats.taken_controls as f64 / useful as f64

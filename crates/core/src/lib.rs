@@ -25,9 +25,9 @@
 //! let machine = MachineModel::p14();
 //! let bench = suite::benchmark("compress").expect("known benchmark");
 //! let layout = Layout::natural(&bench.program, LayoutOptions::new(machine.block_bytes))?;
-//! let trace: Vec<_> = bench.executor(&layout, InputId::TEST, 10_000).collect();
+//! let stream = bench.block_stream(&layout, InputId::TEST, 10_000);
 //!
-//! let result = simulate(&machine, SchemeKind::CollapsingBuffer, trace);
+//! let result = simulate(&machine, SchemeKind::CollapsingBuffer, stream);
 //! assert!(result.ipc() > 0.5);
 //! # Ok(())
 //! # }

@@ -47,7 +47,6 @@ pub(crate) fn fetch_env(machine: &MachineModel, scheme: SchemeKind, track_issue:
         scheme,
         issue_rate: machine.issue_rate,
         block_bytes: machine.block_bytes,
-        banks: scheme.banks().max(2),
         spec_depth: machine.spec_depth,
         fetch_penalty: machine.fetch_penalty,
         track_issue,

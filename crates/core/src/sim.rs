@@ -635,9 +635,7 @@ mod tests {
         let w = suite::benchmark("compress").expect("known benchmark");
         let layout =
             Layout::natural(&w.program, LayoutOptions::new(machine.block_bytes)).expect("layout");
-        // The executor borrows the workload, so collect the trace (tests use
-        // short traces; experiment drivers share cached `Arc` traces instead).
-        w.executor(&layout, InputId::TEST, n).collect()
+        w.block_stream(&layout, InputId::TEST, n).materialize()
     }
 
     fn run(scheme: SchemeKind, machine: &MachineModel, n: u64) -> SimResult {

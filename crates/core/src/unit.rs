@@ -181,7 +181,7 @@ impl FrontEnd {
         Self {
             machine: machine.clone(),
             scheme,
-            icache: ICache::new(machine.cache_config(scheme.banks().max(2))),
+            icache: ICache::new(machine.cache_config()),
             btb: Btb::new(machine.btb_entries),
             dir,
             ras: Vec::new(),

@@ -11,9 +11,11 @@
 //! all five schemes.
 //!
 //! The streams are generated *natively* (`Workload::block_stream`, the
-//! production path the [`Lab`](fetchmech::experiments::Lab) cache uses), not
-//! re-encoded from the materialized trace, so this also exercises the
-//! generator's template interning end to end.
+//! production path the [`Lab`](fetchmech::experiments::Lab) cache uses), and
+//! the reference side runs their materialized instructions. That the
+//! generator emits the right instructions in the first place is checked
+//! against a per-instruction executor by the workloads crate's unit tests,
+//! on the same benchmarks and trace length.
 
 use std::sync::Arc;
 
@@ -27,7 +29,6 @@ const LEN: u64 = 2_000;
 fn check_bench(machine: &MachineModel, w: &Workload) {
     let layout = Layout::natural(&w.program, LayoutOptions::new(machine.block_bytes))
         .unwrap_or_else(|e| panic!("{}: layout failed: {e:?}", w.spec.name));
-    let trace: Vec<_> = w.executor(&layout, InputId::TEST, LEN).collect();
     let stream = Arc::new(w.block_stream(&layout, InputId::TEST, LEN));
     assert_eq!(
         stream.total_insts(),
@@ -35,14 +36,7 @@ fn check_bench(machine: &MachineModel, w: &Workload) {
         "{}: stream length mismatch",
         w.spec.name
     );
-    // The native generator must intern exactly the instructions the
-    // executor emits — byte-identical materialization.
-    assert_eq!(
-        stream.materialize(),
-        trace,
-        "{}: native stream materializes differently from the executor",
-        w.spec.name
-    );
+    let trace = stream.materialize();
     let from_trace = BlockStream::from_insts(&trace);
     for scheme in SchemeKind::ALL {
         let reference = simulate_reference(machine, scheme, trace.clone());

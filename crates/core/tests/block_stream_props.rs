@@ -1,7 +1,9 @@
 //! Property tests for the block-stream fast path: on *randomized* control-
 //! flow graphs (not just the calibrated suite), the run-length stream
 //! representation must simulate bit-identically to the per-instruction
-//! trace it encodes.
+//! trace it encodes. (The workloads crate's unit tests check, on the same
+//! random specs, that the stream holds the instructions a per-instruction
+//! executor emits.)
 //!
 //! Each case perturbs a workload spec across the structural knobs that
 //! stress packet formation — block lengths, hammock/diamond/loop mix, call
@@ -126,9 +128,8 @@ proptest! {
         let layout = Layout::natural(&w.program, LayoutOptions::new(machine.block_bytes))
             .expect("generated programs lay out at all paper block sizes");
         let input = InputId(input);
-        let trace: Vec<_> = w.executor(&layout, input, LEN).collect();
         let stream = Arc::new(w.block_stream(&layout, input, LEN));
-        prop_assert_eq!(stream.materialize(), trace.clone());
+        let trace = stream.materialize();
 
         let reference = simulate_reference(&machine, scheme, trace.clone());
         let fast = simulate(&machine, scheme, Arc::clone(&stream));

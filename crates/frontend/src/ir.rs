@@ -10,7 +10,7 @@
 //! # Lowering rules
 //!
 //! * Function 0 is `main`; its entry block is the program entry.
-//! * A `ret` in `main` lowers to `halt`, so the executor's halt-restart
+//! * A `ret` in `main` lowers to `halt`, so the trace generator's halt-restart
 //!   semantics (deterministic behaviour-state reset) apply to external
 //!   programs exactly as to generated ones.
 //! * Calls lower to the ISA's [`Terminator::Call`] with the frontend-
@@ -80,7 +80,7 @@ pub(crate) enum Term {
     Jump(String),
     /// Call another function, resuming at `return_to`.
     Call { callee: String, return_to: String },
-    /// Return to the caller (lowers to halt in `main`, so the executor's
+    /// Return to the caller (lowers to halt in `main`, so the trace generator's
     /// restart-at-entry semantics apply to external programs).
     Ret,
 }
@@ -265,7 +265,7 @@ pub(crate) fn lower(module: &Module) -> Result<LoweredProgram, FrontendError> {
                         },
                     );
                 }
-                // `main` must halt, not return: the executor's halt-restart
+                // `main` must halt, not return: the trace generator's halt-restart
                 // resets behaviour state deterministically.
                 Term::Ret if fi == 0 => builder.set_terminator(id, T::Halt),
                 Term::Ret => builder.set_terminator(id, T::Return),

@@ -223,7 +223,7 @@ mod tests {
             let lowered = parse(format, src).unwrap();
             assert_eq!(lowered.program.num_branches(), 1, "{format:?}");
             assert_eq!(lowered.behaviors.len(), 1, "{format:?}");
-            // main's return lowers to halt so the trace executor restarts.
+            // main's return lowers to halt so the trace generator restarts.
             assert!(
                 lowered
                     .program
@@ -351,20 +351,17 @@ mod tests {
     #[test]
     fn lowered_programs_execute() {
         use fetchmech_isa::{Layout, LayoutOptions};
-        use fetchmech_workloads::{Executor, InputId};
+        use fetchmech_workloads::{InputId, Workload, WorkloadSpec};
 
         for (format, src) in [(Format::Bril, LOOP_BRIL), (Format::Wat, LOOP_WAT)] {
             let lowered = parse(format, src).unwrap();
             let layout = Layout::natural(&lowered.program, LayoutOptions::new(16)).unwrap();
-            let exec = Executor::new(
-                &lowered.program,
-                &layout,
-                lowered.behaviors.clone(),
-                InputId(0),
-                7,
-                2_000,
-            );
-            let retired = exec.count();
+            let w = Workload {
+                spec: WorkloadSpec::external("lowered"),
+                program: lowered.program,
+                behaviors: lowered.behaviors,
+            };
+            let retired = w.block_stream(&layout, InputId(0), 2_000).total_insts();
             assert!(retired >= 2_000, "{format:?}: retired {retired}");
         }
     }

@@ -128,7 +128,7 @@ pub enum Terminator {
         fall: BlockId,
         /// `true` if a layout transform swapped the `taken`/`fall` edges
         /// relative to the branch's original construction. Behaviour models
-        /// decide in terms of the *original* taken edge; the executor XORs
+        /// decide in terms of the *original* taken edge; the trace generator XORs
         /// their decision with this flag to get the hardware direction.
         inverted: bool,
     },
@@ -147,7 +147,7 @@ pub enum Terminator {
     },
     /// Return to the most recent caller's `return_to` block.
     Return,
-    /// End of program; the trace executor restarts from the entry block.
+    /// End of program; the trace generator restarts from the entry block.
     Halt,
 }
 

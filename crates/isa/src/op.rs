@@ -72,7 +72,7 @@ pub enum OpClass {
     Return,
     /// No-operation (used by the padding optimizations of §4.1).
     Nop,
-    /// Program halt; the trace executor restarts from the entry point.
+    /// Program halt; the trace generator restarts from the entry point.
     Halt,
 }
 

@@ -274,6 +274,13 @@ impl BlockStream {
         self.total_insts
     }
 
+    /// The stream's dynamic instructions in execution order, by reference.
+    pub fn iter(&self) -> impl Iterator<Item = &DynInst> + '_ {
+        self.records
+            .iter()
+            .flat_map(|&id| self.template(id).insts())
+    }
+
     /// Expands the stream back to the exact per-instruction trace.
     #[must_use]
     pub fn materialize(&self) -> Vec<DynInst> {

@@ -1,5 +1,5 @@
 //! Dynamic instruction records — the unit of communication between the
-//! workload executor and the fetch/pipeline simulators.
+//! workload trace generator and the fetch/pipeline simulators.
 
 use crate::addr::Addr;
 use crate::op::OpClass;

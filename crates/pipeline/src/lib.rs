@@ -33,6 +33,6 @@ pub(crate) mod ooo;
 pub mod scheme;
 
 pub use fetch::{BlockCursor, FetchPacket, FetchedInst, TraceCursor};
-pub use machine::MachineModel;
+pub use machine::{MachineModel, ICACHE_BANKS};
 pub use ooo::{OooConfig, OooCore, OooStats, Resolved, StreamCore};
 pub use scheme::{ParseSchemeError, SchemeKind};

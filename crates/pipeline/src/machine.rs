@@ -7,6 +7,11 @@ use fetchmech_cache::CacheConfig;
 
 use crate::ooo::OooConfig;
 
+/// Banks of every instruction cache: the two the banked-sequential and
+/// collapsing-buffer schemes read in one cycle. The one-block schemes never
+/// read two blocks in a cycle, so they are simulated on the same cache.
+pub const ICACHE_BANKS: u32 = 2;
+
 /// A complete machine configuration (Table 1 of the paper, plus the
 /// parameters the paper leaves unspecified — see DESIGN.md §1).
 ///
@@ -144,10 +149,10 @@ impl MachineModel {
         }
     }
 
-    /// The instruction-cache configuration with the given bank count.
+    /// The instruction-cache configuration ([`ICACHE_BANKS`] banks).
     #[must_use]
-    pub fn cache_config(&self, banks: u32) -> CacheConfig {
-        CacheConfig::new(self.icache_bytes, self.block_bytes, banks)
+    pub fn cache_config(&self) -> CacheConfig {
+        CacheConfig::new(self.icache_bytes, self.block_bytes, ICACHE_BANKS)
     }
 
     /// Number of cache blocks a run of `insts` instructions starting at

@@ -59,15 +59,6 @@ impl SchemeKind {
         }
     }
 
-    /// Number of independently-addressable cache banks the scheme assumes.
-    #[must_use]
-    pub fn banks(self) -> u32 {
-        match self {
-            SchemeKind::Sequential | SchemeKind::Perfect => 1,
-            _ => 2,
-        }
-    }
-
     /// Maximum distinct cache blocks one packet may touch: `Some(1)` for
     /// the one-block sequential scheme, `Some(2)` for the paired schemes,
     /// `None` (unbounded) for the perfect front end.
@@ -175,12 +166,5 @@ mod tests {
     fn hardware_excludes_perfect() {
         assert!(!SchemeKind::HARDWARE.contains(&SchemeKind::Perfect));
         assert_eq!(SchemeKind::HARDWARE.len() + 1, SchemeKind::ALL.len());
-    }
-
-    #[test]
-    fn bank_counts() {
-        assert_eq!(SchemeKind::Sequential.banks(), 1);
-        assert_eq!(SchemeKind::BankedSequential.banks(), 2);
-        assert_eq!(SchemeKind::CollapsingBuffer.banks(), 2);
     }
 }

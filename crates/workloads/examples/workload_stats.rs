@@ -17,10 +17,10 @@ fn main() {
         let mut s16 = TraceStats::new();
         let mut s32 = TraceStats::new();
         let mut s64 = TraceStats::new();
-        for d in w.executor(&layout, InputId::TEST, N) {
-            s16.observe(&d, 16);
-            s32.observe(&d, 32);
-            s64.observe(&d, 64);
+        for d in w.block_stream(&layout, InputId::TEST, N).iter() {
+            s16.observe(d, 16);
+            s32.observe(d, 32);
+            s64.observe(d, 64);
         }
         println!(
             "{:<10} {:>7} {:>6.1}% {:>5.1}% {:>6.1}  {:>5.1}% {:>5.1}% {:>5.1}%",

@@ -13,7 +13,7 @@ use fetchmech_isa::BranchId;
 /// How a static conditional branch behaves dynamically.
 ///
 /// Decisions are expressed in terms of the branch's *original* taken edge;
-/// the executor XORs with the terminator's `inverted` flag after compiler
+/// the trace generator XORs with the terminator's `inverted` flag after compiler
 /// transforms.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BranchModel {
@@ -311,7 +311,7 @@ impl BehaviorMap {
     }
 }
 
-/// Runtime state the executor keeps per branch (loop trip counters).
+/// Runtime state the trace generator keeps per branch (loop trip counters).
 #[derive(Debug, Clone, Default)]
 pub struct BehaviorState {
     /// `Some(n)` = a loop is live with `n` continues remaining.

@@ -182,6 +182,18 @@ impl WorkloadSpec {
     }
 }
 
+/// Which program input to execute (the §4 methodology: inputs 0–4 profile,
+/// input 5 tests).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct InputId(pub u32);
+
+impl InputId {
+    /// The five profiling inputs.
+    pub const PROFILE: [InputId; 5] = [InputId(0), InputId(1), InputId(2), InputId(3), InputId(4)];
+    /// The held-out test input used for performance simulation.
+    pub const TEST: InputId = InputId(5);
+}
+
 /// A generated benchmark: the immutable program plus its base branch
 /// behaviour.
 #[derive(Debug, Clone)]

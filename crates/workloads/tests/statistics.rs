@@ -51,7 +51,7 @@ fn profile_inputs_predict_the_test_input() {
         let rates = |input: InputId| -> Vec<(u64, u64)> {
             let mut taken = vec![0u64; w.program.num_branches() as usize];
             let mut total = vec![0u64; w.program.num_branches() as usize];
-            for i in w.executor(&layout, input, 60_000) {
+            for i in w.block_stream(&layout, input, 60_000).iter() {
                 if i.op == OpClass::CondBranch {
                     let laid = layout.inst_at(i.addr).expect("laid");
                     let id = laid.ctrl.expect("ctrl").branch_id.expect("id").0 as usize;
@@ -97,8 +97,8 @@ fn suite_dynamic_characteristics_are_in_band() {
     for w in suite::full_suite() {
         let layout = Layout::natural(&w.program, LayoutOptions::new(16)).expect("layout");
         let mut stats = TraceStats::new();
-        for i in w.executor(&layout, InputId::TEST, 60_000) {
-            stats.observe(&i, 16);
+        for i in w.block_stream(&layout, InputId::TEST, 60_000).iter() {
+            stats.observe(i, 16);
         }
         let run = stats.insts as f64 / stats.taken_controls.max(1) as f64;
         match w.spec.class {
@@ -130,7 +130,7 @@ fn every_benchmark_is_exercised_by_every_input() {
     for w in suite::full_suite() {
         let layout = Layout::natural(&w.program, LayoutOptions::new(16)).expect("layout");
         for input in InputId::PROFILE.into_iter().chain([InputId::TEST]) {
-            let n = w.executor(&layout, input, 500).count();
+            let n = w.block_stream(&layout, input, 500).total_insts();
             assert_eq!(n, 500, "{} input {input:?}", w.spec.name);
         }
     }

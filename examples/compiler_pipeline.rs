@@ -57,14 +57,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for scheme in SchemeKind::ALL {
         let before = {
-            let trace: Vec<_> = bench.executor(&natural, InputId::TEST, 200_000).collect();
-            simulate(&machine, scheme, trace).ipc()
+            let stream = bench.block_stream(&natural, InputId::TEST, 200_000);
+            simulate(&machine, scheme, stream).ipc()
         };
         let after = {
-            let trace: Vec<_> = reordered_bench
-                .executor(&optimized, InputId::TEST, 200_000)
-                .collect();
-            simulate(&machine, scheme, trace).ipc()
+            let stream = reordered_bench.block_stream(&optimized, InputId::TEST, 200_000);
+            simulate(&machine, scheme, stream).ipc()
         };
         println!(
             "{:<14} {:>10.3} {:>10.3} {:>7.1}%",

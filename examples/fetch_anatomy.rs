@@ -15,7 +15,7 @@ use fetchmech::isa::{
 };
 use fetchmech::pipeline::MachineModel;
 use fetchmech::sim::build_fetch_unit;
-use fetchmech::workloads::{BehaviorMap, BranchModel, Executor, InputId};
+use fetchmech::workloads::{BehaviorMap, BranchModel, InputId, Workload, WorkloadSpec};
 use fetchmech::SchemeKind;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -76,27 +76,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Behaviour: skip the hammock 85% of the time; loop for ~50 iterations.
+    // A zero input magnitude runs every input on exactly these models.
     let behaviors = BehaviorMap::new({
         let mut v = vec![BranchModel::Bernoulli(0.5); program.num_branches() as usize];
         v[skip.0 as usize] = BranchModel::Bernoulli(0.85);
         v[back.0 as usize] = BranchModel::Loop { mean_trips: 50.0 };
         v
     });
+    let workload = Workload {
+        spec: WorkloadSpec {
+            seed: 7,
+            input_magnitude: 0.0,
+            ..WorkloadSpec::external("fetch-anatomy")
+        },
+        program,
+        behaviors,
+    };
 
     for scheme in [
         SchemeKind::Sequential,
         SchemeKind::BankedSequential,
         SchemeKind::CollapsingBuffer,
     ] {
-        let trace: Vec<_> = Executor::new(
-            &program,
-            &layout,
-            behaviors.clone(),
-            InputId::TEST,
-            7,
-            4_000,
-        )
-        .collect();
+        let trace = workload
+            .block_stream(&layout, InputId::TEST, 4_000)
+            .materialize();
         let mut unit = build_fetch_unit(&machine, scheme, trace);
         // Warm the caches and predictor on the first ~2000 instructions.
         let mut cycle = 0u64;

@@ -32,8 +32,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "scheme", "IPC", "EIR", "cycles", "mispredict%"
     );
     for scheme in SchemeKind::ALL {
-        let trace: Vec<_> = bench.executor(&layout, InputId::TEST, 200_000).collect();
-        let r = simulate(&machine, scheme, trace);
+        let stream = bench.block_stream(&layout, InputId::TEST, 200_000);
+        let r = simulate(&machine, scheme, stream);
         println!(
             "{:<14} {:>6.3} {:>6.3} {:>10} {:>11.1}%",
             scheme.name(),

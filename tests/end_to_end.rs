@@ -10,8 +10,7 @@ fn run(name: &str, machine: &MachineModel, scheme: SchemeKind, n: u64) -> fetchm
     let w = suite::benchmark(name).expect("known benchmark");
     let layout =
         Layout::natural(&w.program, LayoutOptions::new(machine.block_bytes)).expect("layout");
-    let trace: Vec<_> = w.executor(&layout, InputId::TEST, n).collect();
-    simulate(machine, scheme, trace)
+    simulate(machine, scheme, w.block_stream(&layout, InputId::TEST, n))
 }
 
 #[test]
@@ -103,7 +102,7 @@ fn mispredicts_match_between_fetch_and_trace() {
     let w = suite::benchmark("sc").expect("known");
     let layout =
         Layout::natural(&w.program, LayoutOptions::new(machine.block_bytes)).expect("layout");
-    let trace: Vec<_> = w.executor(&layout, InputId::TEST, 20_000).collect();
+    let trace = w.block_stream(&layout, InputId::TEST, 20_000).materialize();
     let controls = trace.iter().filter(|i| i.ctrl.is_some()).count() as u64;
     let r = simulate(&machine, SchemeKind::BankedSequential, trace);
     assert_eq!(r.fetch.predicted_controls, controls);
@@ -123,7 +122,7 @@ fn padding_layouts_simulate_correctly() {
     let machine = MachineModel::p14();
     let w = suite::benchmark("flex").expect("known");
     let layout = layout_pad_all(&w.program, machine.block_bytes).expect("layout");
-    let trace: Vec<_> = w.executor(&layout, InputId::TEST, 20_000).collect();
+    let trace = w.block_stream(&layout, InputId::TEST, 20_000).materialize();
     let nops = trace.iter().filter(|i| i.op == OpClass::Nop).count() as u64;
     assert!(nops > 0, "pad-all trace must execute nops");
     let r = simulate(&machine, SchemeKind::Sequential, trace);
@@ -144,8 +143,8 @@ fn return_address_stack_fixes_return_mispredicts() {
         let w = suite::benchmark("li").expect("known benchmark");
         let layout =
             Layout::natural(&w.program, LayoutOptions::new(with_ras.block_bytes)).expect("layout");
-        let trace: Vec<_> = w.executor(&layout, InputId::TEST, 30_000).collect();
-        simulate(&with_ras, SchemeKind::CollapsingBuffer, trace)
+        let stream = w.block_stream(&layout, InputId::TEST, 30_000);
+        simulate(&with_ras, SchemeKind::CollapsingBuffer, stream)
     };
     assert!(with.fetch.ras_predictions > 0, "RAS must be exercised");
     assert!(

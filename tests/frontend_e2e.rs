@@ -76,7 +76,7 @@ fn examples_lower_to_valid_programs_and_retire_on_every_scheme() {
             "{name}: lowered program fails default lint rules: {diags:?}"
         );
         let layout = natural_layout(&w, &machine);
-        let trace: Vec<_> = w.executor(&layout, InputId::TEST, INSTS).collect();
+        let trace = w.block_stream(&layout, InputId::TEST, INSTS).materialize();
         assert_eq!(trace.len() as u64, INSTS, "{name}: trace truncated");
         for pair in trace.windows(2) {
             assert_eq!(pair[0].next_pc, pair[1].addr, "{name}: trace not linked");
@@ -103,8 +103,8 @@ fn block_stream_fast_path_matches_per_instruction_path() {
     for (name, format, src) in EXAMPLES {
         let w = workload(name, format, src);
         let layout = natural_layout(&w, &machine);
-        let trace: Vec<_> = w.executor(&layout, InputId::TEST, INSTS).collect();
         let stream = Arc::new(w.block_stream(&layout, InputId::TEST, INSTS));
+        let trace = stream.materialize();
         for scheme in SchemeKind::ALL {
             let reference = simulate_reference(&machine, scheme, trace.clone());
             let fast = simulate(&machine, scheme, Arc::clone(&stream));

@@ -38,7 +38,9 @@ fn optimize_for(name: &str, machine: &MachineModel) -> (Workload, fetchmech_anal
         LayoutOptions::new(machine.block_bytes),
     )
     .expect("tuned layout");
-    let trace: Vec<_> = w_after.executor(&layout, InputId::TEST, INSTS).collect();
+    let trace = w_after
+        .block_stream(&layout, InputId::TEST, INSTS)
+        .materialize();
     for scheme in SchemeKind::ALL {
         let r = simulate(machine, scheme, trace.clone());
         let bound = delta.after.scheme(scheme).eir_bound;

@@ -122,7 +122,7 @@ proptest! {
     fn generated_traces_are_linked_and_mapped(spec in arb_spec()) {
         let w = Workload::generate(spec);
         let layout = Layout::natural(&w.program, LayoutOptions::new(16)).expect("layout");
-        let trace: Vec<_> = w.executor(&layout, InputId::TEST, 3_000).collect();
+        let trace = w.block_stream(&layout, InputId::TEST, 3_000).materialize();
         for pair in trace.windows(2) {
             prop_assert_eq!(pair[0].next_pc, pair[1].addr);
         }
@@ -141,7 +141,7 @@ proptest! {
         let layout = Layout::natural(&w.program, LayoutOptions::new(machine.block_bytes))
             .expect("layout");
         for scheme in SchemeKind::ALL {
-            let trace: Vec<_> = w.executor(&layout, InputId::TEST, 4_000).collect();
+            let trace = w.block_stream(&layout, InputId::TEST, 4_000).materialize();
             let r = simulate(&machine, scheme, trace);
             prop_assert_eq!(r.retired, 4_000);
             prop_assert!(r.eir() <= f64::from(machine.issue_rate) + 1e-9);
@@ -164,7 +164,8 @@ proptest! {
             behaviors: w.behaviors.clone(),
         };
         let project = |w: &Workload, l: &Layout| -> Vec<_> {
-            w.executor(l, InputId::TEST, 3_000)
+            w.block_stream(l, InputId::TEST, 3_000)
+                .iter()
                 .filter(|i| i.ctrl.is_none() && i.op != OpClass::Nop)
                 .map(|i| (i.op, i.dest, i.srcs))
                 .collect()
@@ -190,7 +191,7 @@ proptest! {
         let layout = Layout::natural(&w.program, LayoutOptions::new(machine.block_bytes))
             .expect("layout");
         let eir = |scheme| {
-            let trace: Vec<_> = w.executor(&layout, InputId::TEST, 12_000).collect();
+            let trace = w.block_stream(&layout, InputId::TEST, 12_000).materialize();
             measure_eir(&machine, scheme, trace).eir()
         };
         let perfect = eir(SchemeKind::Perfect);

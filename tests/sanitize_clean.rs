@@ -26,8 +26,8 @@ fn full_suite_runs_clean_under_the_sanitizer() {
         let layout = Layout::natural(&w.program, LayoutOptions::new(machine.block_bytes))
             .expect("suite programs lay out at paper block sizes");
         let trace: Arc<[DynInst]> = w
-            .executor(&layout, InputId::TEST, TRACE_LEN)
-            .collect::<Vec<_>>()
+            .block_stream(&layout, InputId::TEST, TRACE_LEN)
+            .materialize()
             .into();
 
         for scheme in SchemeKind::ALL {
